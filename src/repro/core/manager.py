@@ -1032,6 +1032,24 @@ class DejaVuManager:
         free so the fleet engine can plan a batched adaptation wave."""
         return t + 1e-9 >= self._next_check
 
+    def batch_wake_at(self) -> float:
+        """Earliest step time at which the batched engine must visit
+        this manager again; side-effect free.
+
+        Until then :meth:`adaptation_due` is False and
+        :meth:`poll_pending_deployment` is a no-op, so the engine may
+        skip both: the value is the next periodic check or the next
+        routine re-signature, whichever is earlier, compared with the
+        same ``t + 1e-9`` tolerance those use.  A queue-delayed
+        deployment or a staged re-learned model can land on any step
+        (the queue may revise, revoke or evict its grants), so either
+        keeps the manager awake (``-inf``).  The state read here
+        changes only inside this manager's own engine-driven calls.
+        """
+        if self.pending_deployment is not None or self._staged_model is not None:
+            return -math.inf
+        return min(self._next_check, self._next_resignature)
+
     def batch_group_key(self) -> tuple | None:
         """Identity of the trained state this manager classifies with.
 

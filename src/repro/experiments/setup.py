@@ -324,11 +324,16 @@ class _FleetFamilyObserver:
     """Vectorized observation over a family of same-class lanes.
 
     The batched fleet engine hands this observer all of its lanes'
-    workloads once per step and a writable ``(n_series, n_lanes)``
-    block (usually a zero-copy view of the schema group's recording
-    row).  Capacity comes off each provider's cached plan
-    (:meth:`~repro.cloud.provider.CloudProvider.capacity_at`) instead of
-    walking and billing every pooled VM, and the performance math runs
+    workloads once per step, a writable ``(n_series, n_lanes)`` block
+    (usually a zero-copy view of the schema group's recording row), and
+    the lanes' serving capacities off its capacity cache — each
+    provider's cached plan
+    (:meth:`~repro.cloud.provider.CloudProvider.capacity_at`), re-read
+    only after an allocation change or during a warm-up — instead of
+    walking and billing every pooled VM.  Demand and volume arrays are
+    rebuilt only when the engine hands over a new workload list (the
+    trace hour changed), and each lane's allocation series only when
+    the engine reports its allocation changed.  The performance math runs
     through the service layer's vectorized hooks
     (``utilization_rows`` / ``latency_rows`` / ``_qos_rows``), whose
     elements are bit-identical to the scalar ``observe_*`` closures.
@@ -385,8 +390,9 @@ class _FleetFamilyObserver:
                 [source[1] for source in sources], dtype=int
             )
         n = len(self._setups)
-        self._caps = np.empty(n)
+        self._workloads: list | None = None
         self._demands = np.empty(n)
+        self._volumes = np.empty(n)
         self._interference = np.zeros(n)
         self._alloc_cache: list = [None] * n
         self._alloc_series = np.zeros(n)
@@ -428,15 +434,14 @@ class _FleetFamilyObserver:
         lanes when some have nothing serving."""
         return self._model.latency_rows(rho)
 
-    def fill_rows(self, t: float, workloads, out) -> None:
-        n = len(self._providers)
-        caps = self._caps
+    def fill_rows(self, t: float, workloads, out, capacities, changed) -> None:
         demands = self._demands
-        for j in range(n):
-            caps[j] = self._providers[j].capacity_at(t)
-            workload = workloads[j]
-            demands[j] = workload.demand_units
-            out[4, j] = workload.volume
+        if workloads is not self._workloads:
+            self._workloads = workloads
+            for j, workload in enumerate(workloads):
+                demands[j] = workload.demand_units
+                self._volumes[j] = workload.volume
+        out[4, :] = self._volumes
         if self._any_injector:
             interference = self._interference
             if self._feed_values is not None:
@@ -447,17 +452,17 @@ class _FleetFamilyObserver:
                 for j, injector in enumerate(self._injectors):
                     if injector is not None:
                         interference[j] = injector.interference_at(t)
-        for j, provider in enumerate(self._providers):
-            allocation = provider.current_allocation
+        for j in changed.tolist():
+            allocation = self._providers[j].current_allocation
             if allocation is not self._alloc_cache[j]:
                 self._alloc_cache[j] = allocation
                 self._alloc_series[j] = self._series_value(allocation)
                 self._alloc_cost[j] = allocation.hourly_cost
         out[2, :] = self._alloc_series
         out[3, :] = self._alloc_cost
-        if caps.min() > 0.0:
+        if capacities.min() > 0.0:
             rho = self._model.utilization_rows(
-                demands, caps, self._interference
+                demands, capacities, self._interference
             )
             out[0, :] = self._latency_rows(t, rho, None)
             out[1, :] = self._services[0]._qos_rows(rho)
@@ -465,12 +470,12 @@ class _FleetFamilyObserver:
         # Some lanes have nothing serving (e.g. their first deployment
         # is still queue-delayed): those report the timeout-cap sample,
         # the rest are computed on the served subset.
-        served = np.flatnonzero(caps > 0.0)
+        served = np.flatnonzero(capacities > 0.0)
         out[0, :] = self._model.max_latency_ms
         out[1, :] = 50.0
         if served.size:
             rho = self._model.utilization_rows(
-                demands[served], caps[served], self._interference[served]
+                demands[served], capacities[served], self._interference[served]
             )
             out[0, served] = self._latency_rows(t, rho, served)
             out[1, served] = self._services[0]._qos_rows(rho)

@@ -88,17 +88,32 @@ class BatchObserver(Protocol):
 
     One observer instance covers an ordered set of lanes (the lanes
     constructed with it, in fleet lane order).  Each step the engine
-    calls :meth:`fill_rows` once with those lanes' workloads and a
+    calls :meth:`fill_rows` once with those lanes' workloads, a
     writable ``(len(names), n_lanes)`` block — in the common case a
-    zero-copy view of the schema group's recording row.
+    zero-copy view of the schema group's recording row — and the
+    lanes' serving capacities off the engine's capacity cache.
     """
 
     names: tuple[str, ...]
 
     def fill_rows(
-        self, t: float, workloads: list[Workload], out: np.ndarray
+        self,
+        t: float,
+        workloads: list[Workload],
+        out: np.ndarray,
+        capacities: np.ndarray,
+        changed: np.ndarray,
     ) -> None:
-        """Write every covered lane's observation column into ``out``."""
+        """Write every covered lane's observation column into ``out``.
+
+        The engine passes the *same* ``workloads`` list object for as
+        long as none of the covered lanes' workloads changed, so an
+        observer may key derived per-lane arrays on its identity.
+        ``capacities`` holds each covered lane's serving capacity at
+        ``t``; ``changed`` the positions (into the covered lanes) whose
+        provider allocation may have changed since the previous call —
+        every position on the first call.
+        """
         ...
 
 
@@ -745,6 +760,38 @@ class _RowBuffer:
         return self._data[: self._len]
 
 
+class _ObserverBatch:
+    """One batch observer bound for a run: the lanes it covers, the
+    block it fills, and the workload list handed to it.
+
+    ``workloads`` is rebuilt — a new list object — only on steps where
+    one of the covered lanes' workloads changed, which is what lets the
+    observer key its per-lane demand arrays on the list's identity.
+    """
+
+    __slots__ = (
+        "observer", "lanes", "index", "volatile", "target", "scatter",
+        "workloads",
+    )
+
+    def __init__(
+        self,
+        observer: BatchObserver,
+        lanes: list[int],
+        volatile: bool,
+        target: np.ndarray,
+        scatter: tuple | None,
+        workloads: list[Workload],
+    ) -> None:
+        self.observer = observer
+        self.lanes = lanes
+        self.index = np.asarray(lanes, dtype=int)
+        self.volatile = volatile
+        self.target = target
+        self.scatter = scatter
+        self.workloads = workloads
+
+
 class _SchemaGroup:
     """One batch of lanes sharing an observation schema.
 
@@ -928,6 +975,21 @@ class FleetResult:
 # The engine
 # ----------------------------------------------------------------------
 
+
+def _hour_keyed(workload_fn: Callable[[float], Workload]) -> bool:
+    """Whether ``workload_fn`` is a
+    :class:`~repro.workloads.traces.LoadTrace`'s own
+    ``workload_at``, whose value is constant within each trace hour."""
+    # Imported here: repro.workloads.traces imports repro.sim.clock,
+    # whose package imports this module.
+    from repro.workloads.traces import LoadTrace
+
+    return (
+        type(getattr(workload_fn, "__self__", None)) is LoadTrace
+        and getattr(workload_fn, "__func__", None) is LoadTrace.workload_at
+    )
+
+
 #: Everything the batched adaptation wave calls on a controller.  A
 #: controller offering only part of the surface (e.g. a PR 3-era
 #: ``prepare_batched_adapt`` implementor) is not a batch candidate and
@@ -941,6 +1003,7 @@ _BATCH_ADAPT_PROTOCOL = (
     "batch_classifier",
     "complete_batched_adapt",
     "poll_pending_deployment",
+    "batch_wake_at",
 )
 
 
@@ -1057,25 +1120,31 @@ class FleetEngine:
                 else:
                     controller = QueuedController(controller, profiling_queue)
             self.controllers.append(controller)
+        n_lanes = len(self._lanes)
         # Lanes whose controller implements the batched-adaptation
         # contract (structurally a DejaVuManager): every method the
         # wave calls must be present, or the lane stays on the scalar
         # on_step path.  Whether a candidate actually batches is
-        # re-checked each step (training status and adapt_on_violation
-        # can change).
-        self._batch_candidates: tuple[int, ...] = tuple(
-            i
-            for i, controller in enumerate(self.controllers)
-            if self.batched
-            and all(
-                hasattr(controller, name) for name in _BATCH_ADAPT_PROTOCOL
-            )
+        # re-checked whenever the wave visits it (training status and
+        # adapt_on_violation can change).
+        self._batch_mask = np.array(
+            [
+                self.batched
+                and all(
+                    hasattr(controller, name)
+                    for name in _BATCH_ADAPT_PROTOCOL
+                )
+                for controller in self.controllers
+            ],
+            dtype=bool,
         )
-        # (index, controller) pairs, pre-zipped: the wave's gating loop
-        # touches every candidate every step.
-        self._batch_pairs: tuple = tuple(
-            (i, self.controllers[i]) for i in self._batch_candidates
-        )
+        # Each candidate's wake time (batch_wake_at): the wave visits a
+        # lane only once the step time reaches it, because until then
+        # adaptation_due is False and poll_pending_deployment a no-op.
+        # Refreshed after every wave call on the lane; a candidate that
+        # does not batch keeps its old (past) value, so it is visited —
+        # and re-checked — every step.  Non-candidates never wake.
+        self._wake = np.full(n_lanes, math.inf)
         # lane index -> the controller's profiling monitor (fixed at
         # construction, like the candidate set itself); None when a
         # protocol-compliant controller carries no profiler, in which
@@ -1084,8 +1153,17 @@ class FleetEngine:
             i: getattr(
                 getattr(self.controllers[i], "profiler", None), "monitor", None
             )
-            for i in self._batch_candidates
+            for i in np.flatnonzero(self._batch_mask).tolist()
         }
+        # Batched lanes reading an hourly load trace get a new workload
+        # only when the trace hour changes (LoadTrace.workload_at is
+        # constant within an hour); every other workload_fn — and every
+        # lane of the scalar oracle — is called each step.
+        self._volatile_lanes: tuple[int, ...] = tuple(
+            i
+            for i, lane in enumerate(self._lanes)
+            if not (self.batched and _hour_keyed(lane.workload_fn))
+        )
         # Distinct batch observers in first-appearance order, each with
         # the lane indices it covers.
         self._observer_lanes: list[tuple[BatchObserver, list[int]]] = []
@@ -1106,40 +1184,59 @@ class FleetEngine:
             for i, lane in enumerate(self._lanes)
             if not (self.batched and lane.observe_batch is not None)
         )
-        # Per-lane deployed-capacity readers for allocation-aware host
-        # footprints.  Providers notify a per-lane dirty flag on every
-        # allocation change (subscribe_capacity_changes), so the
-        # per-step refresh touches only lanes that changed allocation
-        # or are still inside a warm-up window — the steady state costs
-        # two vectorized mask operations, not a call per lane.  Lanes
-        # whose controller exposes no provider read as unbounded
-        # (their footprint degrades to the offered demand).
-        self._capacity_providers: tuple = tuple(
+        # One deployed-capacity cache feeds both allocation-aware host
+        # footprints and the batch observers.  Providers notify a
+        # per-lane dirty flag on every allocation change
+        # (subscribe_capacity_changes), so a refresh touches only lanes
+        # that changed allocation or are still inside a warm-up window —
+        # the steady state costs two vectorized mask operations, not a
+        # call per lane.  A lane's provider is its controller's, else
+        # its batch observer's.  Lanes whose controller exposes no
+        # provider read as unbounded in the host footprint (it degrades
+        # to the offered demand).
+        providers = [
             getattr(
                 getattr(lane.controller, "production", None),
                 "provider",
                 None,
             )
             for lane in self._lanes
+        ]
+        self._footprint_unbounded = np.array(
+            [i for i, provider in enumerate(providers) if provider is None],
+            dtype=int,
         )
-        n_lanes = len(self._lanes)
+        cached = np.zeros(n_lanes, dtype=bool)
+        if self.host_map is not None and self.host_map.allocation_aware:
+            cached[:] = True
+        for observer, lane_indices in self._observer_lanes:
+            cached[lane_indices] = True
+            observed = getattr(observer, "providers", None)
+            if observed is None:
+                continue
+            for i, provider in zip(lane_indices, observed):
+                if providers[i] is None:
+                    providers[i] = provider
+        self._capacity_providers: tuple = tuple(providers)
         self._capacity_values = np.full(n_lanes, math.inf)
         self._capacity_dirty = np.zeros(n_lanes, dtype=bool)
         self._capacity_settled = np.zeros(n_lanes, dtype=float)
-        if self.host_map is not None and self.host_map.allocation_aware:
-            for j, provider in enumerate(self._capacity_providers):
-                if provider is None:
-                    continue
-                self._capacity_dirty[j] = True
-                provider.subscribe_capacity_changes(
-                    self._capacity_invalidator(j)
-                )
+        # Lanes whose allocation may have changed since their observer
+        # last read it (each observer clears its own lanes).
+        self._allocation_changed = np.ones(n_lanes, dtype=bool)
+        for j, provider in enumerate(self._capacity_providers):
+            if provider is None or not cached[j]:
+                continue
+            self._capacity_dirty[j] = True
+            provider.subscribe_capacity_changes(self._capacity_invalidator(j))
 
     def _capacity_invalidator(self, lane: int):
         dirty = self._capacity_dirty
+        changed = self._allocation_changed
 
         def invalidate() -> None:
             dirty[lane] = True
+            changed[lane] = True
 
         return invalidate
 
@@ -1154,7 +1251,7 @@ class FleetEngine:
         dirty = self._capacity_dirty
         settled = self._capacity_settled
         stale = np.flatnonzero(dirty | (t < settled))
-        for j in stale:
+        for j in stale.tolist():
             provider = self._capacity_providers[j]
             values[j] = provider.capacity_at(t)
             settled[j] = provider.capacity_settles_at
@@ -1163,6 +1260,31 @@ class FleetEngine:
             # the settle time must re-read the fully warmed value.
             dirty[j] = t < settled[j]
         return values
+
+    def _footprint_capacities(self, t: float) -> np.ndarray:
+        """Deployed capacities for an allocation-aware host footprint.
+
+        The cache, except that lanes whose controller exposes no
+        provider read as unbounded even when their batch observer
+        supplied one — as the scalar path, which has no observers,
+        sees them.
+        """
+        values = self._lane_capacities(t)
+        if not self._footprint_unbounded.size:
+            return values
+        values = values.copy()
+        values[self._footprint_unbounded] = math.inf
+        return values
+
+    def _observer_inputs(
+        self, values: np.ndarray, lanes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One observer's slice of the refreshed capacity cache, and
+        the positions whose allocation changed since it last read them
+        (cleared here)."""
+        changed = np.flatnonzero(self._allocation_changed[lanes])
+        self._allocation_changed[lanes] = False
+        return values[lanes], changed
 
     @property
     def n_lanes(self) -> int:
@@ -1287,20 +1409,29 @@ class FleetEngine:
         except through the queue and the shared repository, both of
         which see the same per-lane sequence the scalar path produces.
 
-        Returns the lane indices the wave took responsibility for this
-        step — due lanes (adapted, or deferred by queue rejection and
-        retried next step, exactly like a scalar rejected adaptation)
-        plus idle batchable lanes, whose per-step duties (flushing a
-        queue-delayed deployment, swapping in a relearn-staged model,
-        routine re-signatures) are handled inline.  The engine skips
-        ``on_step`` for all of them.
+        Only lanes whose wake time has come are visited, in lane order;
+        a sleeping lane's ``adaptation_due`` would be False and its
+        ``poll_pending_deployment`` a no-op, so skipping both changes
+        nothing — not even the order of queue requests.  Every visited
+        lane's wake time is refreshed after the wave's last call on it.
+
+        Returns a lane mask of what the wave took responsibility for
+        this step — due lanes (adapted, or deferred by queue rejection
+        and retried next step, exactly like a scalar rejected
+        adaptation) plus idle batchable lanes, awake or asleep, whose
+        per-step duties (flushing a queue-delayed deployment, swapping
+        in a relearn-staged model, routine re-signatures) are handled
+        inline.  The engine skips ``on_step`` for all of them.
         """
-        handled = set()
+        controllers = self.controllers
+        wake = self._wake
+        handled = self._batch_mask.copy()
         due: list[tuple[int, StepContext]] = []
-        for i, controller in self._batch_pairs:
+        for i in np.flatnonzero(wake <= t + 1e-9).tolist():
+            controller = controllers[i]
             if not controller.supports_batched_adapt:
+                handled[i] = False
                 continue
-            handled.add(i)
             if controller.adaptation_due(t):
                 due.append(
                     (
@@ -1316,6 +1447,7 @@ class FleetEngine:
                 # model once its sweep drains, keep routine re-signature
                 # traffic flowing.
                 controller.poll_pending_deployment(t)
+                wake[i] = controller.batch_wake_at()
         if not due:
             return handled
         # Phase 1a — gate every due lane in lane order: the queue sees
@@ -1323,7 +1455,7 @@ class FleetEngine:
         gated = [
             (i, ctx)
             for i, ctx in due
-            if self.controllers[i].begin_batched_adapt(ctx)
+            if controllers[i].begin_batched_adapt(ctx)
         ]
         if gated:
             # Phase 1b — collect all gated lanes' signatures, batched
@@ -1332,7 +1464,7 @@ class FleetEngine:
             rows = self._collect_wave_signatures(gated)
             by_key: dict = {}
             for (i, _ctx), row in zip(gated, rows):
-                key = self.controllers[i].batch_group_key()
+                key = controllers[i].batch_group_key()
                 by_key.setdefault(key, []).append((i, row))
             # Classification is a pure snapshot pass per shared-model
             # group, so groups may overlap (wave_workers); repository
@@ -1350,9 +1482,11 @@ class FleetEngine:
                 self._resolve_group(members, result, finish)
             for i, ctx in gated:
                 label, certainty, entry = finish[i]
-                self.controllers[i].complete_batched_adapt(
+                controllers[i].complete_batched_adapt(
                     ctx, label, certainty, entry
                 )
+        for i, _ctx in due:
+            wake[i] = controllers[i].batch_wake_at()
         return handled
 
     def _collect_wave_signatures(
@@ -1448,19 +1582,27 @@ class FleetEngine:
         """First-step observations of every batch-observed lane, as
         dicts so they run through the ordinary schema-fixing path."""
         observations: dict[int, dict[str, float]] = {}
+        values = self._lane_capacities(t)
         for observer, lane_indices in self._observer_lanes:
             names = tuple(observer.names)
             block = np.empty((len(names), len(lane_indices)), dtype=float)
+            capacities, changed = self._observer_inputs(
+                values, np.asarray(lane_indices, dtype=int)
+            )
             observer.fill_rows(
-                t, [workloads[i] for i in lane_indices], block
+                t, [workloads[i] for i in lane_indices], block,
+                capacities, changed,
             )
             for column, i in enumerate(lane_indices):
                 observations[i] = dict(zip(names, block[:, column].tolist()))
         return observations
 
     def _bind_observer_batches(
-        self, groups: list[_SchemaGroup], slots: list[tuple[int, int]]
-    ) -> list[tuple]:
+        self,
+        groups: list[_SchemaGroup],
+        slots: list[tuple[int, int]],
+        workloads: list[Workload],
+    ) -> list[_ObserverBatch]:
         """Resolve each batch observer onto its schema group's row.
 
         An observer covering exactly one whole group, in group order and
@@ -1469,7 +1611,8 @@ class FleetEngine:
         other shape goes through a scratch block scattered into the
         group columns.
         """
-        batches: list[tuple] = []
+        batches: list[_ObserverBatch] = []
+        volatile = set(self._volatile_lanes)
         for observer, lane_indices in self._observer_lanes:
             names = tuple(observer.names)
             expected = getattr(observer, "n_lanes", None)
@@ -1520,12 +1663,37 @@ class FleetEngine:
                 and columns == list(range(len(group.lanes)))
             )
             if whole_group:
-                batches.append((observer, lane_indices, group.row, None))
+                target, scatter = group.row, None
             else:
-                scratch = np.empty((len(names), len(columns)), dtype=float)
+                target = np.empty((len(names), len(columns)), dtype=float)
                 scatter = (group.row, np.asarray(columns, dtype=int), perm)
-                batches.append((observer, lane_indices, scratch, scatter))
+            batches.append(
+                _ObserverBatch(
+                    observer,
+                    lane_indices,
+                    not volatile.isdisjoint(lane_indices),
+                    target,
+                    scatter,
+                    [workloads[i] for i in lane_indices],
+                )
+            )
         return batches
+
+    @staticmethod
+    def _observe_batch(
+        t: float,
+        batch: _ObserverBatch,
+        capacities: np.ndarray,
+        changed: np.ndarray,
+    ) -> None:
+        batch.observer.fill_rows(
+            t, batch.workloads, batch.target, capacities, changed
+        )
+        if batch.scatter is not None:
+            row, columns, perm = batch.scatter
+            row[:, columns] = (
+                batch.target if perm is None else batch.target[perm]
+            )
 
     def run(self, duration_seconds: float, start: float = 0.0) -> FleetResult:
         """Run all lanes to ``start + duration_seconds`` and return the result."""
@@ -1535,9 +1703,12 @@ class FleetEngine:
         end = start + duration_seconds
         groups: list[_SchemaGroup] = []
         slots: list[tuple[int, int]] = []
-        observer_batches: list[tuple] = []
+        observer_batches: list[_ObserverBatch] = []
         times: list[float] = []
         n_lanes = len(self._lanes)
+        # Every candidate is visited on the first step; the wave then
+        # refreshes each visited lane's wake time from its manager.
+        self._wake[self._batch_mask] = -math.inf
         pool = (
             ThreadPoolExecutor(
                 max_workers=self.wave_workers,
@@ -1559,9 +1730,19 @@ class FleetEngine:
     def _run_loop(
         self, clock, end, groups, slots, observer_batches, times, n_lanes
     ) -> FleetResult:
+        lanes = self._lanes
+        controllers = self.controllers
+        workloads: list[Workload] = [None] * n_lanes  # type: ignore[list-item]
+        workload_hour = None
         while clock.now < end:
             t, hour, day = clock.now, clock.hour, clock.day
-            workloads = [lane.workload_fn(t) for lane in self._lanes]
+            # Hour-keyed lanes (LoadTrace.workload_at) read the trace on
+            # the first step of each hour, so an out-of-range hour still
+            # fails loudly; other lanes' workload_fn runs every step.
+            new_hour = hour != workload_hour
+            for i in range(n_lanes) if new_hour else self._volatile_lanes:
+                workloads[i] = lanes[i].workload_fn(t)
+            workload_hour = hour
             if self.host_map is not None:
                 # Host pressure is recomputed before controllers act, so
                 # adaptations this step already see the co-tenant theft.
@@ -1569,7 +1750,7 @@ class FleetEngine:
                 # lane's deployed capacity from its provider's cached
                 # plan (math.inf for provider-less lanes).
                 capacities = (
-                    self._lane_capacities(t)
+                    self._footprint_capacities(t)
                     if self.host_map.allocation_aware
                     else None
                 )
@@ -1579,11 +1760,7 @@ class FleetEngine:
                 # of the scalar and batched paths, before any
                 # controller can observe or charge the queue this step.
                 self.profiling_queue.advance_to(t)
-            handled = (
-                self._batched_adapt_wave(t, hour, day, workloads)
-                if self._batch_candidates
-                else ()
-            )
+            handled = self._batched_adapt_wave(t, hour, day, workloads)
             first_step = not times
             if first_step:
                 # Controllers act, then every lane's first observation
@@ -1591,16 +1768,15 @@ class FleetEngine:
                 # dict from their observer so both paths agree on the
                 # schema (and on the values).
                 step_contexts: dict[int, StepContext] = {}
-                for i in range(n_lanes):
-                    if i not in handled:
-                        ctx = StepContext(
-                            t=t, workload=workloads[i], hour=hour, day=day
-                        )
-                        step_contexts[i] = ctx
-                        self.controllers[i].on_step(ctx)
+                for i in np.flatnonzero(~handled).tolist():
+                    ctx = StepContext(
+                        t=t, workload=workloads[i], hour=hour, day=day
+                    )
+                    step_contexts[i] = ctx
+                    controllers[i].on_step(ctx)
                 observed = self._first_observations_for(t, workloads)
                 first_observations: list[dict[str, float]] = []
-                for i, lane in enumerate(self._lanes):
+                for i, lane in enumerate(lanes):
                     observation = observed.get(i)
                     ctx = step_contexts.get(i) or StepContext(
                         t=t, workload=workloads[i], hour=hour, day=day
@@ -1631,48 +1807,49 @@ class FleetEngine:
                 groups, slots = self._build_groups(first_observations)
                 for i, observation in enumerate(first_observations):
                     index, column = slots[i]
-                    self._fill_row(groups[index], column, self._lanes[i], observation)
-                observer_batches = self._bind_observer_batches(groups, slots)
+                    self._fill_row(groups[index], column, lanes[i], observation)
+                observer_batches = self._bind_observer_batches(
+                    groups, slots, workloads
+                )
             elif self.batched:
                 # Phased stepping: all controllers, then all
                 # observations (lanes are independent within a step, so
                 # this equals the interleaved order lane by lane).
                 step_contexts = {}
-                for i in range(n_lanes):
-                    if i not in handled:
-                        ctx = StepContext(
-                            t=t, workload=workloads[i], hour=hour, day=day
-                        )
-                        step_contexts[i] = ctx
-                        self.controllers[i].on_step(ctx)
+                for i in np.flatnonzero(~handled).tolist():
+                    ctx = StepContext(
+                        t=t, workload=workloads[i], hour=hour, day=day
+                    )
+                    step_contexts[i] = ctx
+                    controllers[i].on_step(ctx)
+                # Each observer's inputs come off the one capacity cache
+                # (serially: reading them clears its change flags); its
+                # workload list is rebuilt only when a lane's changed.
+                values = self._lane_capacities(t) if observer_batches else None
+                for batch in observer_batches:
+                    if new_hour or batch.volatile:
+                        batch.workloads = [workloads[i] for i in batch.lanes]
+                thunks = [
+                    functools.partial(
+                        self._observe_batch,
+                        t,
+                        batch,
+                        *self._observer_inputs(values, batch.index),
+                    )
+                    for batch in observer_batches
+                ]
                 # Observers are disjoint (distinct objects, distinct
                 # lane columns), so their fill_rows blocks may overlap
                 # under wave_workers.
-                def observe_batch(entry: tuple) -> None:
-                    observer, lane_indices, target, scatter = entry
-                    observer.fill_rows(
-                        t, [workloads[i] for i in lane_indices], target
-                    )
-                    if scatter is not None:
-                        row, columns, perm = scatter
-                        row[:, columns] = (
-                            target if perm is None else target[perm]
-                        )
-
-                self._wave_map(
-                    [
-                        functools.partial(observe_batch, entry)
-                        for entry in observer_batches
-                    ]
-                )
+                self._wave_map(thunks)
                 for i in self._dict_lanes:
                     ctx = step_contexts.get(i) or StepContext(
                         t=t, workload=workloads[i], hour=hour, day=day
                     )
                     index, column = slots[i]
                     self._fill_row(
-                        groups[index], column, self._lanes[i],
-                        self._lanes[i].observe_fn(ctx),
+                        groups[index], column, lanes[i],
+                        lanes[i].observe_fn(ctx),
                     )
             else:
                 # Scalar mode: the seed engine's loop, verbatim —

@@ -12,6 +12,7 @@ import math
 from pathlib import Path
 
 import pytest
+import yaml
 
 from repro.scenarios import (
     EXACT_METRICS,
@@ -191,6 +192,17 @@ class TestScenarioLibrary:
             for relative in SMOKE_SCENARIOS
         }
         assert families == {"SYN", "RL"}  # one smoke per family
+
+    def test_ci_scenario_job_runs_every_smoke_scenario(self):
+        workflow = yaml.safe_load(
+            (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        )
+        steps = workflow["jobs"]["scenarios"]["steps"]
+        commands = " ".join(step.get("run", "") for step in steps)
+        named = {
+            word for word in commands.split() if word.startswith("scenarios/")
+        }
+        assert named == set(SMOKE_SCENARIOS)
 
 
 class TestRunner:
