@@ -140,7 +140,7 @@ def test_placement_frontier_50(benchmark):
 
 
 def test_placement_smoke_20(benchmark):
-    """CI smoke: 3 policies x 20 lanes, in-process (workers=0)."""
+    """CI smoke: 3 policies x 20 lanes, in-process."""
     study = benchmark.pedantic(
         run_placement_sensitivity_study,
         kwargs=dict(
@@ -153,7 +153,6 @@ def test_placement_smoke_20(benchmark):
                 "first_fit_decreasing",
                 "first_fit_decreasing+consolidate",
             ),
-            workers=0,
         ),
         rounds=1,
         iterations=1,

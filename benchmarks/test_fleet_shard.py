@@ -1,4 +1,4 @@
-"""Sharded fleet sweeps: multiprocess wall-clock and vectorized prepare.
+"""Sharded fleet sweeps: multiprocess wall-clock, with and without hosts.
 
 Perf claims riding this file:
 
@@ -9,23 +9,11 @@ Perf claims riding this file:
   merged ``FleetResult`` is bit-identical regardless of worker count:
   shards are deterministic functions of their global lane ranges.
 
-* **Counter-mode telemetry vectorizes the last scalar loop.**  The PR 3
-  control plane batched classify and observe but still collected each
-  lane's signature through a scalar per-lane ``collect_vector`` call
-  (preserved as ``rng_mode="legacy"``).  Counter-mode streams collect
-  every due lane's signature as one ``Monitor.collect_matrix`` pass;
-  at 200 lanes that lifts ``lane_steps_per_second`` by >= 1.3x.
-
 * **Host coupling does not eat the sharding win.**  The cross-shard
   demand exchange (one shared block write + two barrier waits per
   step) keeps a 400-lane / 80-host sweep bit-identical to the
   single-process run at any worker count, and >= 2x faster at 4
   workers on >= 4 cores.
-
-* **Wave overlap is free to turn on.**  ``wave_workers`` threads the
-  independent schema-group waves inside a step; bit-identity is the
-  gate, the wall ratio is recorded (it depends on how much of the
-  kernels run outside the GIL).
 
 Wall-clock gates are best-of-two per configuration: single-run ratios
 on shared machines are too noisy to block on (same policy as the
@@ -44,9 +32,6 @@ from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
 SWEEP_LANES = 400
 SWEEP_SHARDS = 4
 SWEEP_HOURS = 24.0
-
-PREPARE_LANES = 200
-PREPARE_HOURS = 24.0
 
 SMOKE_LANES = 50
 SMOKE_SHARDS = 2
@@ -159,59 +144,6 @@ def test_fleet_sweep_400_lanes_4_workers(benchmark):
         )
 
 
-def test_fleet_prepare_counter_vs_legacy_200(benchmark):
-    kwargs = dict(n_lanes=PREPARE_LANES, hours=PREPARE_HOURS)
-    legacy = run_fleet_multiplexing_study(rng_mode="legacy", **kwargs)
-    counter = benchmark.pedantic(
-        run_fleet_multiplexing_study,
-        kwargs={"rng_mode": "counter", **kwargs},
-        rounds=1,
-        iterations=1,
-    )
-    # Best-of-two per mode: the ratio gate compares engine seconds.
-    legacy_seconds = min(
-        legacy.engine_seconds,
-        run_fleet_multiplexing_study(
-            rng_mode="legacy", **kwargs
-        ).engine_seconds,
-    )
-    counter_seconds = min(
-        counter.engine_seconds,
-        run_fleet_multiplexing_study(
-            rng_mode="counter", **kwargs
-        ).engine_seconds,
-    )
-    steps = PREPARE_LANES * counter.n_steps
-    legacy_lsps = steps / legacy_seconds
-    counter_lsps = steps / counter_seconds
-    speedup = counter_lsps / legacy_lsps
-
-    print_figure(
-        "Fleet-vectorized prepare: counter vs legacy streams, 200 lanes",
-        [
-            f"counter (vectorized collect_matrix): "
-            f"{counter_lsps:,.0f} lane-steps/s ({counter_seconds:.2f} s)",
-            f"legacy (per-lane collect_vector, the PR 3 prepare): "
-            f"{legacy_lsps:,.0f} lane-steps/s ({legacy_seconds:.2f} s) "
-            f"-> speedup {speedup:.2f}x",
-            f"decision parity: hit rate {counter.hit_rate:.1%} vs "
-            f"{legacy.hit_rate:.1%}, violations "
-            f"{counter.violation_fraction:.1%} vs "
-            f"{legacy.violation_fraction:.1%}",
-        ],
-    )
-    benchmark.extra_info["lane_steps_per_second"] = counter_lsps
-    benchmark.extra_info["legacy_lane_steps_per_second"] = legacy_lsps
-    benchmark.extra_info["counter_prepare_speedup"] = speedup
-
-    assert counter.rng_mode == "counter" and legacy.rng_mode == "legacy"
-    assert speedup >= 1.3
-    # Counter mode changes the noise realization, not the economics:
-    # the fleet still reuses the shared repository and meets SLOs.
-    assert counter.hit_rate > 0.9
-    assert counter.violation_fraction < 0.10
-
-
 def test_fleet_shard_hosts_sweep_400(benchmark):
     """Host-coupled scale-out: the demand exchange must not eat the
     sharding win.  400 lanes packed first-fit-decreasing onto 80
@@ -288,42 +220,6 @@ def test_fleet_shard_hosts_sweep_400(benchmark):
             f"only {cores} core(s): {speedup:.2f}x measured; the 2x "
             "wall-clock gate needs >= 4 cores of real parallelism"
         )
-
-
-def test_fleet_wave_overlap_200(benchmark):
-    """Overlapped lane waves: wave_workers=4 threads the independent
-    schema-group waves inside each step.  The contract gated here is
-    bit-identity; the walls are recorded, not gated — wave overlap
-    buys wall-clock only where the numpy kernels release the GIL, so
-    the ratio is machine-dependent in both directions."""
-    kwargs = dict(
-        n_lanes=PREPARE_LANES, hours=PREPARE_HOURS, mix="mixed"
-    )
-    serial = run_fleet_multiplexing_study(wave_workers=0, **kwargs)
-    overlapped = benchmark.pedantic(
-        run_fleet_multiplexing_study,
-        kwargs={"wave_workers": 4, **kwargs},
-        rounds=1,
-        iterations=1,
-    )
-    serial_wall = serial.engine_seconds
-    overlapped_wall = overlapped.engine_seconds
-    ratio = serial_wall / overlapped_wall
-
-    print_figure(
-        "Overlapped lane waves: 200 lanes, wave_workers 0 vs 4",
-        [
-            f"serial: {serial_wall:.2f} s wall; overlapped: "
-            f"{overlapped_wall:.2f} s wall -> ratio {ratio:.2f}x on "
-            f"{os.cpu_count() or 1} core(s)",
-            "bit-identical series and adaptation events",
-        ],
-    )
-    benchmark.extra_info["serial_wall_seconds"] = serial_wall
-    benchmark.extra_info["overlapped_wall_seconds"] = overlapped_wall
-    benchmark.extra_info["wave_overlap_ratio"] = ratio
-
-    assert_results_identical(serial, overlapped)
 
 
 def test_fleet_shard_hosts_smoke(benchmark):

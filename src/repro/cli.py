@@ -41,16 +41,16 @@ best_fit).  ``--shards``/``--workers`` partition the fleet into
 contiguous lane-range shards run by worker processes and merged exactly
 (``repro.sim.shard``); with ``--hosts`` the shards stay host-coupled
 through the cross-shard demand exchange (``repro.sim.exchange``,
-``--exchange-every`` paces the barrier) and ``--wave-workers`` overlaps
-independent control-plane waves inside each engine.
-``--rng-mode`` picks counter-mode telemetry
-streams (default; signature collection vectorizes across lanes) or the
-legacy sequential generators.  ``--placement-demand forecast`` packs
+``--exchange-every`` paces the barrier).
+``--placement-demand forecast`` packs
 lanes by their seasonal predicted peak (``repro.sim.forecast``)
 instead of the learning-day observed peak, and ``--consolidate`` runs
 the migration planner in consolidation mode (drain the coldest
 feasible host so it can power off); ``--power-cost`` prices the
-resulting host-hours-on axis.  ``placement`` runs the
+resulting host-hours-on axis.  Each fleet flag's ``dest`` is the
+study parameter it sets, so a rule the study's ``FleetStudySpec``
+rejects is reported as a usage error naming the flag (exit 2).
+``placement`` runs the
 placement-sensitivity study: the *same* fleet under each policy,
 printing the SLO-violation/cost/theft/energy frontier per policy
 (policies accept a ``+migrate`` suffix to re-pack the worst-pressure
@@ -64,6 +64,7 @@ scenario x policy on stdout; ``list`` shows the library.
 from __future__ import annotations
 
 import argparse
+import re
 from typing import Callable
 
 
@@ -212,42 +213,42 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[int], list[str]]]] = {
 }
 
 
-def _fleet_rows(args) -> list[str]:
-    from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
+def _fleet_kwargs(args) -> dict:
+    """The study arguments the fleet flags spell.
+
+    Flags whose ``dest`` is a :class:`FleetStudySpec` field pass
+    through; ``--hosts 0`` means dedicated hardware, ``--migration`` /
+    ``--consolidate`` / ``--rebalance-every`` build the migration
+    policy, and ``--faults`` arrives as the schedule ``main`` parsed.
+    """
+    from dataclasses import fields
+
+    from repro.experiments.multiplexing_study import FleetStudySpec
     from repro.sim.placement import MigrationPolicy
 
-    study = run_fleet_multiplexing_study(
-        n_lanes=args.lanes,
-        hours=args.hours,
-        step_seconds=args.step,
-        profiling_slots=args.slots,
-        queue_policy=args.queue_policy,
-        queue_high_watermark=args.high_watermark,
-        queue_low_watermark=args.low_watermark,
-        resignature_every_seconds=args.resignature_every,
-        seed=args.seed,
-        mix=args.mix,
-        n_hosts=args.hosts if args.hosts > 0 else None,
-        host_capacity_units=args.host_capacity,
-        placement=args.placement or "round_robin",
-        placement_demand=args.placement_demand or "learning-peak",
-        migration=(
-            MigrationPolicy(
-                rebalance_every=args.rebalance_every,
-                mode="consolidate" if args.consolidate else "pressure",
-            )
-            if args.migration or args.consolidate
-            else None
-        ),
-        batched=args.batch,
-        rng_mode=args.rng_mode,
-        shards=args.shards,
-        workers=args.workers,
-        shard_dir=args.shard_dir,
-        exchange_every=args.exchange_every,
-        wave_workers=args.wave_workers,
-        faults=getattr(args, "fault_schedule", None),
+    given = vars(args)
+    kwargs = {
+        field.name: given[field.name]
+        for field in fields(FleetStudySpec)
+        if field.name in given
+    }
+    kwargs["n_hosts"] = args.n_hosts or None
+    kwargs["migration"] = (
+        MigrationPolicy(
+            rebalance_every=args.rebalance_every,
+            mode="consolidate" if args.consolidate else "pressure",
+        )
+        if args.migration or args.consolidate
+        else None
     )
+    kwargs["faults"] = args.fault_schedule
+    return kwargs
+
+
+def _fleet_rows(args, kwargs: dict) -> list[str]:
+    from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
+
+    study = run_fleet_multiplexing_study(**kwargs)
     path = "batched" if study.batched else "scalar"
     engine_label = (
         "in the engine"
@@ -257,14 +258,14 @@ def _fleet_rows(args) -> list[str]:
     rows = [
         f"{study.n_lanes} services ({study.mix}) x {study.n_steps} steps "
         f"({study.step_seconds:.0f} s each) on one shared clock",
-        f"{path} control plane, {study.rng_mode} telemetry streams: "
+        f"{path} control plane, counter telemetry streams: "
         f"{study.lane_steps_per_second:,.0f} "
         f"lane-steps/s ({study.engine_seconds:.2f} s {engine_label})",
         f"learning phases paid: {study.learning_runs} "
         f"({study.tuning_invocations} tuner runs, amortized fleet-wide)",
         f"shared-repository hit rate: {study.hit_rate:.1%}",
-        f"profiling queue ({args.slots} slot(s), {study.queue_policy} "
-        f"admission): mean wait "
+        f"profiling queue ({args.profiling_slots} slot(s), "
+        f"{study.queue_policy} admission): mean wait "
         f"{study.mean_queue_wait_seconds:.0f} s, max wait "
         f"{study.max_queue_wait_seconds:.0f} s, peak depth "
         f"{study.max_queue_depth}, utilization "
@@ -286,8 +287,8 @@ def _fleet_rows(args) -> list[str]:
     if study.n_hosts:
         rows.append(
             f"shared hosts ({study.n_hosts} x "
-            f"{args.host_capacity:.0f} units, {study.placement} placement, "
-            f"{study.host_demand} footprints): overloaded "
+            f"{args.host_capacity_units:.0f} units, {study.placement} "
+            f"placement, allocation footprints): overloaded "
             f"{study.host_overload_fraction:.1%} of host-steps, mean theft "
             f"{study.mean_host_theft:.1%} (peak {study.peak_host_theft:.1%}), "
             f"{study.interference_escalations} interference-band "
@@ -332,9 +333,28 @@ def _placement_rows(args) -> list[str]:
         placement_demand=args.placement_demand,
         rebalance_every=args.rebalance_every,
         seed=args.seed,
-        workers=0,
     )
     return frontier_rows(study)
+
+
+def _flags_of(parser: argparse.ArgumentParser, command: str) -> dict:
+    """``dest -> flag`` for every option of subcommand ``command``."""
+    (subparsers,) = (
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        action.dest: action.option_strings[0]
+        for action in subparsers.choices[command]._actions
+        if action.option_strings
+    }
+
+
+def _name_flags(message: str, flags: dict) -> str:
+    """Spell each parameter a study error names as the flag setting it."""
+    pattern = r"(?<![\w-])(" + "|".join(map(re.escape, flags)) + r")(?![\w-])"
+    return re.sub(pattern, lambda match: flags[match.group(1)], message)
 
 
 def _nonnegative_int(value: str) -> int:
@@ -365,10 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="fleet-scale multiplexing study (shared repository + profiler)",
     )
-    fleet.add_argument("--lanes", type=int, default=8)
+    fleet.add_argument("--lanes", dest="n_lanes", type=int, default=8)
     fleet.add_argument("--hours", type=float, default=24.0)
-    fleet.add_argument("--step", type=float, default=300.0)
-    fleet.add_argument("--slots", type=int, default=1)
+    fleet.add_argument(
+        "--step", dest="step_seconds", type=float, default=300.0
+    )
+    fleet.add_argument(
+        "--slots", dest="profiling_slots", type=int, default=1
+    )
     fleet.add_argument(
         "--queue-policy",
         choices=["fifo", "priority"],
@@ -380,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--high-watermark",
+        dest="queue_high_watermark",
         type=_nonnegative_int,
         default=None,
         help="pending depth at which the priority queue starts shedding "
@@ -388,12 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--low-watermark",
+        dest="queue_low_watermark",
         type=_nonnegative_int,
         default=None,
         help="pending depth at which watermark shedding stops again",
     )
     fleet.add_argument(
         "--resignature-every",
+        dest="resignature_every_seconds",
         type=_positive_float,
         default=None,
         help="give every lane a routine re-signature stream with this "
@@ -410,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--hosts",
+        dest="n_hosts",
         type=_nonnegative_int,
         default=0,
         help="place lanes round-robin onto this many shared hosts "
@@ -417,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--host-capacity",
+        dest="host_capacity_units",
         type=_positive_float,
         default=12.0,
         help="capacity units of each shared host",
@@ -468,19 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--batch",
+        dest="batched",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="run the batched fleet control plane (--no-batch keeps the "
         "scalar per-lane step path reachable for A/B runs)",
-    )
-    fleet.add_argument(
-        "--rng-mode",
-        choices=["counter", "legacy"],
-        default="counter",
-        help="telemetry stream discipline: counter-mode streams (one "
-        "per-fleet key; signature collection vectorizes across lanes "
-        "and is shard-invariant) or the legacy sequential per-sampler "
-        "generators",
     )
     fleet.add_argument(
         "--shards",
@@ -510,14 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="steps between cross-shard demand exchanges on a "
         "host-coupled sharded sweep (1 = every step, bit-identical to "
         "single-process; larger periods approximate)",
-    )
-    fleet.add_argument(
-        "--wave-workers",
-        type=_nonnegative_int,
-        default=0,
-        help="threads overlapping independent control-plane waves "
-        "inside each engine (0 = serial reference path, bit-identical "
-        "either way)",
     )
     fleet.add_argument(
         "--faults",
@@ -692,28 +705,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "scenario":
         return _scenario_rows(args)
     if args.command == "fleet":
-        if args.hosts == 0 and args.placement is not None:
-            parser.error(
-                f"--placement {args.placement} has no effect without "
-                "shared hosts; pass --hosts N (>= 1)"
-            )
-        if args.hosts == 0 and args.migration:
-            parser.error(
-                "--migration has no effect without shared hosts; "
-                "pass --hosts N (>= 1)"
-            )
-        if args.hosts == 0 and args.consolidate:
-            parser.error(
-                "--consolidate drains shared hosts; "
-                "pass --hosts N (>= 1)"
-            )
-        if args.hosts == 0 and args.placement_demand is not None:
-            parser.error(
-                f"--placement-demand {args.placement_demand} picks the "
-                "estimate lanes are packed onto shared hosts with; "
-                "pass --hosts N (>= 1)"
-            )
-        if args.hosts == 0 and args.power_cost is not None:
+        # Checks on flags the study never sees; every study rule is
+        # FleetStudySpec's.
+        if args.n_hosts == 0 and args.power_cost is not None:
             parser.error(
                 "--power-cost prices host-hours-on; "
                 "pass --hosts N (>= 1)"
@@ -727,12 +721,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(
                 f"--shard-dir {args.shard_dir} has no effect without "
                 "sharding; pass --shards N (>= 2)"
-            )
-        if args.exchange_every != 1 and (args.shards == 1 or args.hosts == 0):
-            parser.error(
-                f"--exchange-every {args.exchange_every} paces the "
-                "cross-shard demand exchange; pass --shards N (>= 2) "
-                "and --hosts M (>= 1)"
             )
         args.fault_schedule = None
         knobs = [
@@ -771,13 +759,16 @@ def main(argv: list[str] | None = None) -> int:
                     schedule = _replace(schedule, **overrides)
             except ValueError as exc:
                 parser.error(f"invalid --faults schedule: {exc}")
-            if schedule.any_host_faults and args.hosts == 0:
-                parser.error(
-                    "--faults kills shared hosts; pass --hosts N (>= 1)"
-                )
             args.fault_schedule = schedule
-        print(f"== fleet: {args.lanes}-service multiplexing study")
-        for row in _fleet_rows(args):
+        from repro.experiments.multiplexing_study import FleetStudySpec
+
+        try:
+            kwargs = _fleet_kwargs(args)
+            FleetStudySpec(**kwargs)
+        except ValueError as exc:
+            parser.error(_name_flags(str(exc), _flags_of(parser, "fleet")))
+        print(f"== fleet: {args.n_lanes}-service multiplexing study")
+        for row in _fleet_rows(args, kwargs):
             print(f"   {row}")
         return 0
     if args.command == "placement":

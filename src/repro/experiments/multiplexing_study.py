@@ -29,8 +29,9 @@ scale) instead of only from scripted per-lane injection.
 from __future__ import annotations
 
 import os
+import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,13 +59,10 @@ from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
 #: Lane compositions the fleet study understands.
 FLEET_MIXES = ("scaleout", "scaleup", "mixed")
 
-#: Telemetry stream disciplines the fleet study understands.
-FLEET_RNG_MODES = ("counter", "legacy")
-
-#: Host-footprint models the fleet study understands: ``allocation``
-#: tracks what DejaVu actually deployed (the default), ``offered`` keeps
-#: the static PR 2 offered-demand footprint (regression pinning).
-FLEET_HOST_DEMANDS = ("allocation", "offered")
+#: What a fleet on shared hosts packs with when ``placement`` /
+#: ``placement_demand`` are not given.
+DEFAULT_PLACEMENT = "round_robin"
+DEFAULT_PLACEMENT_DEMAND = "learning-peak"
 
 
 @dataclass(frozen=True)
@@ -202,12 +200,6 @@ class FleetMultiplexingStudy:
 
     result: FleetResult
 
-    rng_mode: str = "counter"
-    """Telemetry stream discipline: ``counter`` (per-fleet counter-mode
-    streams, the default — collection is batch- and shard-invariant) or
-    ``legacy`` (sequential per-sampler generators, the pre-sharding
-    behavior)."""
-
     shards: int = 1
     """How many lane-range shards the sweep was partitioned into."""
 
@@ -220,13 +212,9 @@ class FleetMultiplexingStudy:
     allocation_count, instance_type)`` records per lane in global lane
     order — comparable across single-process and sharded runs."""
 
-    placement: str = "round_robin"
+    placement: str = DEFAULT_PLACEMENT
     """Placement policy that assigned lanes to shared hosts
     (:mod:`repro.sim.placement`); meaningful only when ``n_hosts > 0``."""
-
-    host_demand: str = "allocation"
-    """Host-footprint model: ``allocation`` (footprints track deployed
-    capacity) or ``offered`` (the static PR 2 offered-demand model)."""
 
     migrations: int = 0
     """Lane migrations the host map's :class:`~repro.sim.placement.MigrationPolicy`
@@ -258,10 +246,6 @@ class FleetMultiplexingStudy:
     """Steps between cross-shard demand exchanges on a host-coupled
     sharded sweep (1 = every step, the bit-identical default)."""
 
-    wave_workers: int = 0
-    """Threads overlapping independent control-plane waves inside each
-    engine (0 = the serial reference path)."""
-
     host_failures: int = 0
     """Host-death fault events the run committed (``faults=``)."""
 
@@ -291,7 +275,7 @@ class FleetMultiplexingStudy:
     """Adaptations that exhausted retries and fell back to deploying
     the last-known-good repository allocation (degraded mode)."""
 
-    placement_demand: str = "learning-peak"
+    placement_demand: str = DEFAULT_PLACEMENT_DEMAND
     """Placement-time demand estimator: ``learning-peak`` (realized
     day-0 maximum) or ``forecast`` (the predicted-peak window from
     :mod:`repro.sim.forecast`)."""
@@ -373,7 +357,7 @@ def _placement_estimates(
     trace_name: str,
     seed: int,
     lane_seed_stride: int,
-    placement_demand: str = "learning-peak",
+    placement_demand: str = DEFAULT_PLACEMENT_DEMAND,
 ) -> list[float]:
     """Every lane's placement-time demand estimate, traces only.
 
@@ -416,15 +400,46 @@ def _placement_estimates(
     return estimates
 
 
+#: Knobs that only mean something on shared hosts, and what each does
+#: there.
+_HOST_ONLY_KNOBS = (
+    ("placement", "places lanes onto shared hosts"),
+    (
+        "placement_demand",
+        "picks the estimate lanes are packed onto shared hosts with",
+    ),
+    ("migration", "re-packs shared hosts"),
+)
+
+#: :class:`ProfilingQueue` argument names the spec spells differently.
+_QUEUE_FIELDS = {
+    "slots": "profiling_slots",
+    "high_watermark": "queue_high_watermark",
+    "low_watermark": "queue_low_watermark",
+}
+
+
 @dataclass(frozen=True)
 class FleetStudySpec:
-    """Everything a worker process needs to rebuild its fleet shard.
+    """One validated fleet study: every rule its knobs obey, in one place.
+
+    The fields are :func:`run_fleet_multiplexing_study`'s parameters,
+    with the same defaults, plus the ``host_placement`` the study
+    resolves.  ``__post_init__`` checks every rule before any lane is
+    built, and each :class:`ValueError` it raises starts with the name
+    of the offending field.  The study, ``repro.cli fleet`` and the
+    scenario loader all validate by constructing this spec.
+    ``placement`` and ``placement_demand`` default to ``None`` ("not
+    given"): on shared hosts they resolve to round-robin packing of the
+    learning-day peak, and on dedicated hardware giving either is an
+    error.  ``demand_factors`` is normalized to a tuple of floats and
+    ``faults`` to a parsed :class:`~repro.sim.faults.FaultSchedule`.
 
     A shard worker receives this spec plus a global lane range and
     reconstructs *exactly* the lanes the single-process study would
     have built at those global indices: per-lane trace seeds, sampler
-    seeds/stream keys, and family leadership are all keyed by global
-    lane index, so a lane's simulation does not depend on which process
+    stream keys, and family leadership are all keyed by global lane
+    index, so a lane's simulation does not depend on which process
     runs it.  Host coupling crosses shard boundaries, so for sharded
     hosts the parent resolves the *global* lane→host assignment once
     (``host_placement``) and every worker rebuilds the identical global
@@ -432,35 +447,147 @@ class FleetStudySpec:
     through the cross-shard exchange (:mod:`repro.sim.exchange`).
     """
 
-    n_lanes: int
-    hours: float
-    step_seconds: float
-    profiling_slots: int
-    max_pending: int | None
-    lane_seed_stride: int
-    trace_name: str
-    seed: int
-    mix: str
-    batched: bool
-    rng_mode: str
-    n_hosts: int | None = None
-    host_capacity_units: float = 12.0
-    placement: "str | PlacementPolicy" = "round_robin"
-    host_demand: str = "allocation"
-    migration: MigrationPolicy | None = None
-    demand_factors: tuple[float, ...] | None = None
+    n_lanes: int = 4
+    hours: float = 48.0
+    step_seconds: float = 300.0
+    profiling_slots: int = 1
+    max_pending: int | None = None
     queue_policy: str = "fifo"
     queue_high_watermark: int | None = None
     queue_low_watermark: int | None = None
     resignature_every_seconds: float | None = None
+    lane_seed_stride: int = 1
+    trace_name: str = "messenger"
+    seed: int = 0
+    mix: str = "scaleout"
+    n_hosts: int | None = None
+    host_capacity_units: float = 12.0
+    placement: "str | PlacementPolicy | None" = None
+    migration: MigrationPolicy | None = None
+    placement_demand: str | None = None
+    demand_factors: tuple[float, ...] | None = None
+    batched: bool = True
+    shards: int = 1
+    workers: int | None = None
+    shard_dir: str | None = None
     exchange_every: int = 1
-    wave_workers: int = 0
-    host_placement: "tuple[int | None, ...] | None" = None
-    placement_demand: str = "learning-peak"
     faults: "FaultSchedule | None" = None
-    """A *resolved* fault schedule (generators already expanded by the
-    parent), so every shard worker replays the identical fault
-    timeline."""
+    """Parsed here; the study then expands its seeded generators, so
+    every shard worker replays the identical fault timeline."""
+    host_placement: "tuple[int | None, ...] | None" = None
+
+    def __post_init__(self) -> None:
+        if self.n_lanes < 1:
+            raise ValueError(
+                f"n_lanes: need at least one lane, got {self.n_lanes}"
+            )
+        if self.hours <= 0:
+            raise ValueError(
+                f"hours: need a positive duration, got {self.hours}"
+            )
+        if self.step_seconds <= 0:
+            raise ValueError(
+                f"step_seconds: need a positive step, got {self.step_seconds}"
+            )
+        if self.n_hosts is not None and self.n_hosts < 1:
+            raise ValueError(
+                f"n_hosts: need at least one host, got {self.n_hosts}"
+            )
+        if self.mix not in FLEET_MIXES:
+            raise ValueError(
+                f"mix: unknown composition {self.mix!r}; "
+                f"use one of {FLEET_MIXES}"
+            )
+        if self.placement is not None:
+            try:
+                make_policy(self.placement)
+            except ValueError as exc:
+                raise ValueError(f"placement: {exc}") from None
+        if (
+            self.placement_demand is not None
+            and self.placement_demand not in PLACEMENT_DEMANDS
+        ):
+            raise ValueError(
+                "placement_demand: unknown estimate "
+                f"{self.placement_demand!r}; use one of {PLACEMENT_DEMANDS}"
+            )
+        period = self.resignature_every_seconds
+        if period is not None and period <= 0:
+            raise ValueError(
+                "resignature_every_seconds: need a positive re-signature "
+                f"period, got {period}"
+            )
+        try:
+            ProfilingQueue(
+                slots=self.profiling_slots,
+                service_seconds=1.0,
+                max_pending=self.max_pending,
+                queue_policy=self.queue_policy,
+                high_watermark=self.queue_high_watermark,
+                low_watermark=self.queue_low_watermark,
+            )
+        except ValueError as exc:
+            raise ValueError(
+                re.sub(
+                    r"\b(slots|high_watermark|low_watermark)\b",
+                    lambda match: _QUEUE_FIELDS[match.group(1)],
+                    str(exc),
+                )
+            ) from None
+        factors = None
+        if self.demand_factors:
+            try:
+                factors = tuple(float(f) for f in self.demand_factors)
+            except (TypeError, ValueError):
+                factors = ()
+            if not factors or any(f <= 0 for f in factors):
+                raise ValueError(
+                    "demand_factors: demand factors must be positive "
+                    f"numbers, got {self.demand_factors!r}"
+                )
+        object.__setattr__(self, "demand_factors", factors)
+        try:
+            faults = parse_faults(self.faults)
+        except ValueError as exc:
+            raise ValueError(f"faults: invalid schedule: {exc}") from None
+        object.__setattr__(self, "faults", faults)
+        if self.n_hosts is None:
+            for name, role in _HOST_ONLY_KNOBS:
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name}: {role}; pass n_hosts")
+            if faults is not None and faults.any_host_faults:
+                raise ValueError(
+                    "faults: a host-death schedule needs shared hosts; "
+                    "pass n_hosts"
+                )
+        else:
+            if self.placement is None:
+                object.__setattr__(self, "placement", DEFAULT_PLACEMENT)
+            if self.placement_demand is None:
+                object.__setattr__(
+                    self, "placement_demand", DEFAULT_PLACEMENT_DEMAND
+                )
+        if self.shards < 1:
+            raise ValueError(
+                f"shards: need at least one shard, got {self.shards}"
+            )
+        if self.shards > self.n_lanes:
+            raise ValueError(
+                f"shards: cannot cut {self.n_lanes} lanes into "
+                f"{self.shards}; each shard needs a lane"
+            )
+        if self.exchange_every < 1:
+            raise ValueError(
+                "exchange_every: the exchange period must be >= 1 step, "
+                f"got {self.exchange_every}"
+            )
+        if self.exchange_every != 1 and (
+            self.shards == 1 or self.n_hosts is None
+        ):
+            raise ValueError(
+                "exchange_every: paces the cross-shard demand exchange; "
+                "pass shards > 1 and n_hosts"
+            )
 
 
 def _event_log(manager) -> tuple:
@@ -526,9 +653,7 @@ def _run_fleet_slice(
 
     kinds_all = lane_kinds(spec.n_lanes, spec.mix)
     families_all = lane_families(spec.n_lanes, spec.mix, spec.demand_factors)
-    streams = (
-        TelemetryStreams(spec.seed) if spec.rng_mode == "counter" else None
-    )
+    streams = TelemetryStreams(spec.seed)
     repositories: dict[str, AllocationRepository] = {}
 
     def build_setup(lane: int, kind: str):
@@ -541,17 +666,12 @@ def _run_fleet_slice(
             trace_name=spec.trace_name,
             repository=repository,
             trace_seed=spec.seed + lane_key,
-            # Legacy monitors derive two sampler seeds from this (seed
-            # and seed + 1), so lanes stride by 2 to keep every lane's
-            # telemetry noise stream independent of its neighbours'.
-            # Counter monitors key their streams by (fleet seed,
-            # lane_key) instead — batch- and shard-invariant.
+            # Lanes stride by 2 because a setup derives two sampler
+            # seeds from this (seed and seed + 1); the lane's telemetry
+            # noise itself comes from counter-mode streams keyed by
+            # (fleet seed, lane_key) — batch- and shard-invariant.
             seed=spec.seed + 2 * lane_key,
-            monitor=(
-                counter_monitor(streams, lane_key)
-                if streams is not None
-                else None
-            ),
+            monitor=counter_monitor(streams, lane_key),
         )
         config_kwargs = {}
         if spec.resignature_every_seconds is not None:
@@ -616,9 +736,6 @@ def _run_fleet_slice(
     # production's injector at construction.
     host_map = None
     if spec.n_hosts is not None:
-        demand_fn = (
-            allocation_demand if spec.host_demand == "allocation" else None
-        )
         if exchange is not None:
             if spec.host_placement is None:
                 raise ValueError(
@@ -628,7 +745,7 @@ def _run_fleet_slice(
             full_map = HostMap(
                 make_hosts(spec.n_hosts, spec.host_capacity_units),
                 list(spec.host_placement),
-                demand_fn=demand_fn,
+                demand_fn=allocation_demand,
                 migration=spec.migration,
             )
             if spec.faults is not None and spec.faults.any_host_faults:
@@ -644,7 +761,7 @@ def _run_fleet_slice(
                 estimates,
                 n_hosts=spec.n_hosts,
                 capacity_units=spec.host_capacity_units,
-                demand_fn=demand_fn,
+                demand_fn=allocation_demand,
                 migration=spec.migration,
             )
             if spec.faults is not None and spec.faults.any_host_faults:
@@ -738,7 +855,6 @@ def _run_fleet_slice(
         profiling_queue=queue,
         host_map=host_map,
         batched=spec.batched,
-        wave_workers=spec.wave_workers,
     )
     duration = spec.hours * HOUR
     engine_start = time.perf_counter()
@@ -931,11 +1047,7 @@ def _merged_study(
         tuple(key) for payload in payloads for key in payload["escalated"]
     }
     escalations = len(escalated) + sum(p["escalations"] for p in payloads)
-    placement = (
-        spec.placement
-        if isinstance(spec.placement, str)
-        else spec.placement.name
-    )
+    placement = spec.placement or DEFAULT_PLACEMENT
     return FleetMultiplexingStudy(
         n_lanes=spec.n_lanes,
         n_steps=result.n_steps,
@@ -963,12 +1075,10 @@ def _merged_study(
         interference_escalations=escalations,
         deferred_adaptations=sum(p["deferred"] for p in payloads),
         result=result,
-        rng_mode=spec.rng_mode,
         shards=shards,
         workers=workers,
         lane_events=lane_events,
-        placement=placement,
-        host_demand=spec.host_demand,
+        placement=placement if isinstance(placement, str) else placement.name,
         migrations=host["migrations"] if host else 0,
         demand_factors=spec.demand_factors or (),
         queue_policy=spec.queue_policy,
@@ -976,7 +1086,6 @@ def _merged_study(
         evicted_profiles=sum(p["queue_evicted"] for p in payloads),
         shed_profiles=sum(p["queue_shed"] for p in payloads),
         exchange_every=spec.exchange_every,
-        wave_workers=spec.wave_workers,
         host_failures=host["host_failures"] if host else 0,
         host_recoveries=host["host_recoveries"] if host else 0,
         evacuations=host["evacuations"] if host else 0,
@@ -985,7 +1094,7 @@ def _merged_study(
         profiling_retries=sum(p["retries"] for p in payloads),
         revoked_adaptations=sum(p["revoked_adaptations"] for p in payloads),
         degraded_adaptations=sum(p["degraded_adaptations"] for p in payloads),
-        placement_demand=spec.placement_demand,
+        placement_demand=spec.placement_demand or DEFAULT_PLACEMENT_DEMAND,
         host_hours_on=(
             host["host_on_steps"] * spec.step_seconds / 3600.0 if host else 0.0
         ),
@@ -1013,18 +1122,15 @@ def run_fleet_multiplexing_study(
     mix: str = "scaleout",
     n_hosts: int | None = None,
     host_capacity_units: float = 12.0,
-    placement: "str | PlacementPolicy" = "round_robin",
-    host_demand: str = "allocation",
+    placement: "str | PlacementPolicy | None" = None,
     migration: MigrationPolicy | None = None,
-    placement_demand: str = "learning-peak",
+    placement_demand: str | None = None,
     demand_factors=None,
     batched: bool = True,
-    rng_mode: str = "counter",
     shards: int = 1,
     workers: int | None = None,
     shard_dir: str | None = None,
     exchange_every: int = 1,
-    wave_workers: int = 0,
     faults=None,
 ) -> FleetMultiplexingStudy:
     """Run ``n_lanes`` co-hosted services against one shared DejaVu.
@@ -1057,21 +1163,20 @@ def run_fleet_multiplexing_study(
     onto that many shared :class:`~repro.sim.hosts.SimHost` machines of
     ``host_capacity_units`` each under ``placement`` — a policy name
     from :data:`repro.sim.placement.PLACEMENT_POLICIES`
-    (``round_robin`` default, ``block``, ``first_fit_decreasing``,
-    ``best_fit``) or a :class:`~repro.sim.placement.PlacementPolicy`
-    object, packing each lane's peak learning-day demand.  Co-located
-    lanes then steal capacity from each other at demand peaks, and
-    managers that catch a neighbour red-handed escalate to a higher
-    interference band (Sec. 3.6).  ``None`` keeps every lane on
-    dedicated hardware.
+    (``round_robin`` when not given, ``block``,
+    ``first_fit_decreasing``, ``best_fit``) or a
+    :class:`~repro.sim.placement.PlacementPolicy` object, packing each
+    lane's peak learning-day demand.  Co-located lanes then steal
+    capacity from each other at demand peaks, and managers that catch a
+    neighbour red-handed escalate to a higher interference band
+    (Sec. 3.6).  ``None`` keeps every lane on dedicated hardware.
 
-    ``host_demand`` selects the footprint a lane presses onto its host:
-    ``"allocation"`` (default) tracks what DejaVu actually deployed —
-    ``min(offered demand, deployed capacity)``, so scale-ups press
-    harder after escalation and scale-downs free host headroom — while
-    ``"offered"`` keeps the static PR 2 offered-demand footprint.
-    ``migration`` attaches a :class:`~repro.sim.placement.MigrationPolicy`:
-    every ``rebalance_every`` steps the worst-pressure host evicts a
+    A lane presses its *allocation footprint* onto its host — what
+    DejaVu actually deployed, ``min(offered demand, deployed
+    capacity)`` — so scale-ups press harder after escalation and
+    scale-downs free host headroom.  ``migration`` attaches a
+    :class:`~repro.sim.placement.MigrationPolicy`: every
+    ``rebalance_every`` steps the worst-pressure host evicts a
     tenant, and the migrated lane pays a blackout window of degraded
     capacity (the Sec. 3 VM-cloning cost) in its SLO accounting.  In
     ``mode="consolidate"`` the policy additionally drains the coldest
@@ -1080,11 +1185,12 @@ def run_fleet_multiplexing_study(
     energy axis either way.
 
     ``placement_demand`` selects the placement-time estimate the
-    policy packs: ``"learning-peak"`` (default) is each lane's realized
-    peak offered demand over its learning day; ``"forecast"`` fits the
-    cheap seasonal forecast of :mod:`repro.sim.forecast` to the
-    learning day and packs the *predicted-peak window* instead, which
-    covers the day-to-day plateau jitter the realized peak misses.
+    policy packs: ``"learning-peak"`` (when not given) is each lane's
+    realized peak offered demand over its learning day; ``"forecast"``
+    fits the cheap seasonal forecast of :mod:`repro.sim.forecast` to
+    the learning day and packs the *predicted-peak window* instead,
+    which covers the day-to-day plateau jitter the realized peak
+    misses.
     Both are pure functions of the lane's trace, so the resulting
     placement is bit-identical across scalar, batched and sharded
     paths.  Requires ``n_hosts``.
@@ -1103,15 +1209,12 @@ def run_fleet_multiplexing_study(
     bit-identical :class:`~repro.sim.fleet.FleetResult`\\ s (pinned in
     ``tests/test_fleet_equivalence.py``).
 
-    ``rng_mode`` picks the telemetry stream discipline.  The default
-    ``"counter"`` derives every sampler's noise from one per-fleet key
-    via counter-mode streams (:mod:`repro.telemetry.streams`): the
-    engine's prepare phase then collects all due lanes' signatures as
-    one vectorized matrix pass, and a lane's telemetry is independent
-    of which batch or worker process samples it (scalar == batched ==
-    sharded, bit for bit).  ``"legacy"`` keeps the sequential
-    per-sampler generators of the pre-sharding engine, bit-identical to
-    the old per-lane prepare loop.
+    Every sampler's noise derives from one per-fleet key via
+    counter-mode streams (:mod:`repro.telemetry.streams`): the engine's
+    prepare phase collects all due lanes' signatures as one vectorized
+    matrix pass, and a lane's telemetry is independent of which batch
+    or worker process samples it (scalar == batched == sharded, bit for
+    bit).
 
     ``shards``/``workers`` partition the fleet into contiguous global
     lane ranges executed by worker processes (``spawn``), each
@@ -1143,13 +1246,6 @@ def run_fleet_multiplexing_study(
     barriers — an approximation — with migrations committing only at
     exchange steps so workers' plans cannot diverge.
 
-    ``wave_workers`` overlaps independent batched-control-plane waves
-    (per-family signature collection, per-group classification,
-    per-observer recording) on a thread pool inside each engine; 0
-    (default) keeps the serial reference path, and both produce
-    bit-identical results (pinned in
-    ``tests/test_fleet_equivalence.py``).
-
     ``faults`` injects a deterministic fault timeline
     (:mod:`repro.sim.faults`): a :class:`~repro.sim.faults.FaultSchedule`,
     a DSL string (``"host:1@40+30,profiler@30+18,retries=2"``), or a
@@ -1171,138 +1267,59 @@ def run_fleet_multiplexing_study(
     the VM warm-up transient right after a reallocation is weighted as
     in the paper's 60-second-step case studies rather than dominating
     every sample.
+
+    Every argument is validated up front by :class:`FleetStudySpec`,
+    whose :class:`ValueError` names the offending parameter.
     """
-    if n_lanes < 1:
-        raise ValueError(f"need at least one lane: {n_lanes}")
-    if hours <= 0:
-        raise ValueError(f"need a positive duration: {hours}")
-    if n_hosts is not None and n_hosts < 1:
-        raise ValueError(f"need at least one host: {n_hosts}")
-    if mix not in FLEET_MIXES:
-        raise ValueError(f"unknown mix {mix!r}; use one of {FLEET_MIXES}")
-    if rng_mode not in FLEET_RNG_MODES:
-        raise ValueError(
-            f"unknown rng_mode {rng_mode!r}; use one of {FLEET_RNG_MODES}"
-        )
-    if host_demand not in FLEET_HOST_DEMANDS:
-        raise ValueError(
-            f"unknown host_demand {host_demand!r}; "
-            f"use one of {FLEET_HOST_DEMANDS}"
-        )
-    make_policy(placement)  # unknown policy names fail loudly, up front
-    if placement_demand not in PLACEMENT_DEMANDS:
-        raise ValueError(
-            f"unknown placement_demand {placement_demand!r}; "
-            f"use one of {PLACEMENT_DEMANDS}"
-        )
-    if resignature_every_seconds is not None and resignature_every_seconds <= 0:
-        raise ValueError(
-            f"need a positive re-signature period: {resignature_every_seconds}"
-        )
-    # Reuse the queue's own validation so a bad policy name or watermark
-    # combination fails here, not inside a shard worker.
-    ProfilingQueue(
-        slots=profiling_slots,
-        service_seconds=1.0,
-        max_pending=max_pending,
-        queue_policy=queue_policy,
-        high_watermark=queue_high_watermark,
-        low_watermark=queue_low_watermark,
-    )
-    factors = tuple(float(f) for f in demand_factors) if demand_factors else None
-    if factors and any(f <= 0 for f in factors):
-        raise ValueError(f"demand factors must be positive: {factors}")
-    if n_hosts is None:
-        non_default_placement = (
-            placement != "round_robin"
-            if isinstance(placement, str)
-            else True
-        )
-        if non_default_placement:
-            raise ValueError(
-                "placement policies place lanes onto shared hosts; "
-                "pass n_hosts"
-            )
-        if migration is not None:
-            raise ValueError(
-                "migration re-packs shared hosts; pass n_hosts"
-            )
-        if placement_demand != "learning-peak":
-            raise ValueError(
-                "placement_demand picks the estimate lanes are packed "
-                "onto shared hosts with; pass n_hosts"
-            )
-    if shards < 1:
-        raise ValueError(f"need at least one shard: {shards}")
-    if shards > n_lanes:
-        raise ValueError(f"cannot cut {n_lanes} lanes into {shards} shards")
-    if wave_workers < 0:
-        raise ValueError(f"wave_workers must be >= 0: {wave_workers}")
-    if exchange_every < 1:
-        raise ValueError(
-            f"exchange period must be >= 1 step: {exchange_every}"
-        )
-    if exchange_every != 1 and (shards == 1 or n_hosts is None):
-        raise ValueError(
-            "exchange_every paces the cross-shard demand exchange; it "
-            "needs shards > 1 and n_hosts"
-        )
-    # Fault injection: parse/validate the schedule and expand any
-    # seeded generators *here*, so every shard worker replays one
-    # identical resolved timeline and a bad spec fails before any
-    # worker is dispatched.
-    fault_schedule = parse_faults(faults)
-    if fault_schedule is not None:
-        if fault_schedule.any_host_faults and n_hosts is None:
-            raise ValueError(
-                "host faults kill shared hosts; pass n_hosts"
-            )
-        fault_schedule = fault_schedule.resolve(
-            int(round(hours * HOUR / step_seconds)), n_hosts or 0
-        )
-    # Host coupling crosses shard boundaries: resolve the global
-    # placement up front (policies see the whole fleet's demand
-    # estimates, which no single shard holds) so every worker rebuilds
-    # the identical global map.
-    host_placement = None
-    if shards > 1 and n_hosts is not None:
-        host_placement = resolve_placement(
-            placement,
-            _placement_estimates(
-                n_lanes, mix, factors, trace_name, seed, lane_seed_stride,
-                placement_demand=placement_demand,
-            ),
-            n_hosts=n_hosts,
-            capacity_units=host_capacity_units,
-        )
     spec = FleetStudySpec(
         n_lanes=n_lanes,
         hours=hours,
         step_seconds=step_seconds,
         profiling_slots=profiling_slots,
         max_pending=max_pending,
-        lane_seed_stride=lane_seed_stride,
-        trace_name=trace_name,
-        seed=seed,
-        mix=mix,
-        batched=batched,
-        rng_mode=rng_mode,
-        n_hosts=n_hosts,
-        host_capacity_units=host_capacity_units,
-        placement=placement,
-        host_demand=host_demand,
-        migration=migration,
-        demand_factors=factors,
         queue_policy=queue_policy,
         queue_high_watermark=queue_high_watermark,
         queue_low_watermark=queue_low_watermark,
         resignature_every_seconds=resignature_every_seconds,
-        exchange_every=exchange_every,
-        wave_workers=wave_workers,
-        host_placement=host_placement,
+        lane_seed_stride=lane_seed_stride,
+        trace_name=trace_name,
+        seed=seed,
+        mix=mix,
+        n_hosts=n_hosts,
+        host_capacity_units=host_capacity_units,
+        placement=placement,
+        migration=migration,
         placement_demand=placement_demand,
-        faults=fault_schedule,
+        demand_factors=demand_factors,
+        batched=batched,
+        shards=shards,
+        workers=workers,
+        shard_dir=shard_dir,
+        exchange_every=exchange_every,
+        faults=faults,
     )
+    # Expand seeded fault generators and resolve the global host
+    # placement once, here, so every shard worker replays the identical
+    # fault timeline and rebuilds the identical global map (placement
+    # policies see the whole fleet's demand estimates, which no single
+    # shard holds).
+    resolved = {}
+    if spec.faults is not None:
+        resolved["faults"] = spec.faults.resolve(
+            int(round(hours * HOUR / step_seconds)), n_hosts or 0
+        )
+    if shards > 1 and n_hosts is not None:
+        resolved["host_placement"] = resolve_placement(
+            spec.placement,
+            _placement_estimates(
+                n_lanes, mix, spec.demand_factors, trace_name, seed,
+                lane_seed_stride, placement_demand=spec.placement_demand,
+            ),
+            n_hosts=n_hosts,
+            capacity_units=host_capacity_units,
+        )
+    if resolved:
+        spec = replace(spec, **resolved)
     if shards == 1:
         result, payload = _run_fleet_slice(spec, 0, n_lanes)
         return _merged_study(

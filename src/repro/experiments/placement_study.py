@@ -154,7 +154,6 @@ def run_placement_sensitivity_study(
     host_capacity_units: float = 30.0,
     mix: str = "mixed",
     demand_factors=DEFAULT_DEMAND_FACTORS,
-    host_demand: str = "allocation",
     placement_demand: str = "learning-peak",
     rebalance_every: int = 12,
     blackout_seconds: float = 600.0,
@@ -165,8 +164,6 @@ def run_placement_sensitivity_study(
     trace_name: str = "messenger",
     seed: int = 0,
     batched: bool = True,
-    rng_mode: str = "counter",
-    workers: int = 0,
 ) -> PlacementSensitivityStudy:
     """Run the same fleet under each placement policy.
 
@@ -184,12 +181,8 @@ def run_placement_sensitivity_study(
     ``rebalance_every`` / ``blackout_seconds`` / ``blackout_theft``.
     ``placement_demand`` switches the packed estimate between the
     realized learning-day peak and the :mod:`repro.sim.forecast`
-    predicted-peak window for every policy at once.
-
-    ``workers`` is accepted for symmetry with the fleet study's driver
-    surface but host-coupled fleets always run in-process (``shards=1``
-    — placement crosses shard boundaries), so the smoke configurations
-    pass ``workers=0`` explicitly.
+    predicted-peak window for every policy at once.  Every policy runs
+    in one process (``shards=1``).
     """
     if not policies:
         raise ValueError("need at least one placement policy")
@@ -215,12 +208,10 @@ def run_placement_sensitivity_study(
             n_hosts=n_hosts,
             host_capacity_units=host_capacity_units,
             placement=name,
-            host_demand=host_demand,
             placement_demand=placement_demand,
             migration=migration,
             demand_factors=demand_factors,
             batched=batched,
-            rng_mode=rng_mode,
         )
         points.append(
             PlacementFrontierPoint(

@@ -20,8 +20,12 @@ study entry points (:func:`~repro.experiments.multiplexing_study.
 run_fleet_multiplexing_study` and :func:`~repro.experiments.
 placement_study.run_placement_sensitivity_study`), and policy specs run
 through :func:`~repro.experiments.placement_study.parse_policy_spec`.
-A scenario that drifts from the study surface fails at load time with
-the offending field named — never silently at run time.
+Every run of a fleet scenario (each sweep value under each policy) is
+then validated through
+:class:`~repro.experiments.multiplexing_study.FleetStudySpec`, the
+study's own rule set.  A scenario that drifts from the study surface
+or breaks one of its rules fails at load time with the file and the
+offending field named — never at run time.
 
 Document shape::
 
@@ -48,12 +52,13 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 __all__ = [
     "Scenario",
     "ScenarioError",
     "ScenarioSweep",
+    "fleet_runs",
     "list_scenarios",
     "load_scenario",
     "parse_scenario",
@@ -283,42 +288,6 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
             f"got {policies_doc!r}"
         )
     policies = tuple(policies_doc)
-    if policies:
-        from repro.experiments.placement_study import parse_policy_spec
-
-        for spec in policies:
-            try:
-                parse_policy_spec(spec)
-            except ValueError as exc:
-                raise ScenarioError(
-                    f"{where}invalid policy spec {spec!r}: {exc}"
-                ) from exc
-        if study == "fleet" and "n_hosts" not in params:
-            raise ScenarioError(
-                f"{where}policies require shared hosts; set 'n_hosts' in "
-                "the 'fleet' section (placement is meaningless on "
-                "dedicated hardware)"
-            )
-
-    if study == "fleet" and "faults" in params:
-        from repro.sim.faults import parse_faults
-
-        try:
-            schedule = parse_faults(params["faults"])
-        except ValueError as exc:
-            raise ScenarioError(
-                f"{where}invalid faults spec {params['faults']!r}: {exc}"
-            ) from exc
-        if (
-            schedule is not None
-            and schedule.any_host_faults
-            and "n_hosts" not in params
-        ):
-            raise ScenarioError(
-                f"{where}host faults kill shared hosts; set 'n_hosts' in "
-                "the 'fleet' section (dedicated hardware has no hosts "
-                "to fail)"
-            )
 
     migration_doc = doc.get("migration", {})
     migration: dict[str, Any] = {}
@@ -348,7 +317,18 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
             )
         migration = dict(migration_doc)
 
-    return Scenario(
+    if policies:
+        from repro.experiments.placement_study import parse_policy_spec
+
+        for spec in policies:
+            try:
+                parse_policy_spec(spec, **migration)
+            except ValueError as exc:
+                raise ScenarioError(
+                    f"{where}invalid policy spec {spec!r}: {exc}"
+                ) from exc
+
+    scenario = Scenario(
         id=scenario_id,
         label=label,
         description=description,
@@ -360,6 +340,62 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
         migration=migration,
         path=path,
     )
+    if study == "fleet":
+        from repro.experiments.multiplexing_study import FleetStudySpec
+
+        for sweep, policy, _params, kwargs in fleet_runs(scenario):
+            try:
+                FleetStudySpec(**kwargs)
+            except ValueError as exc:
+                point = (
+                    [f"{sweep['field']}={sweep['value']!r}"] if sweep else []
+                )
+                if policies:
+                    point.append(f"policy {policy!r}")
+                at = f"{', '.join(point)}: " if point else ""
+                raise ScenarioError(f"{where}{at}{exc}") from exc
+    return scenario
+
+
+def fleet_runs(
+    scenario: Scenario, workers: int | None = None
+) -> Iterator[tuple[dict | None, str, dict, dict]]:
+    """Every run a fleet scenario expands into, in grid order.
+
+    Yields ``(sweep, policy, params, kwargs)``: the sweep coordinate
+    (``None`` when nothing sweeps), the policy label, the document's
+    parameters at that point, and the full keyword arguments of
+    :func:`~repro.experiments.multiplexing_study.run_fleet_multiplexing_study`.
+    ``workers`` overrides the document's worker count.
+    """
+    from repro.experiments.placement_study import parse_policy_spec
+
+    sweeps = (
+        [None]
+        if scenario.sweep is None
+        else [
+            {"field": scenario.sweep.field, "value": value}
+            for value in scenario.sweep.values
+        ]
+    )
+    for sweep in sweeps:
+        params = dict(scenario.params)
+        if sweep is not None:
+            params[sweep["field"]] = sweep["value"]
+        if workers is not None:
+            params["workers"] = workers
+        for spec in scenario.policies or (None,):
+            kwargs = dict(params, seed=scenario.seed)
+            if spec is None:
+                policy = (
+                    "round_robin" if params.get("n_hosts") else "dedicated"
+                )
+            else:
+                policy = spec
+                kwargs["placement"], kwargs["migration"] = parse_policy_spec(
+                    spec, **scenario.migration
+                )
+            yield sweep, policy, params, kwargs
 
 
 def _parse_text(text: str, path: str | Path) -> Any:

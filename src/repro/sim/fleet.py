@@ -45,9 +45,7 @@ fleet, so every existing experiment exercises this code path.
 
 from __future__ import annotations
 
-import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
@@ -223,26 +221,32 @@ class ProfilingQueue:
         shed_below: int = PRIORITY_ADAPTATION,
     ) -> None:
         if slots < 1:
-            raise ValueError(f"need at least one profiling slot: {slots}")
+            raise ValueError(
+                f"slots: need at least one profiling slot, got {slots}"
+            )
         if service_seconds <= 0:
             raise ValueError(f"service time must be positive: {service_seconds}")
         if max_pending is not None and max_pending < 0:
-            raise ValueError(f"bad queue bound: {max_pending}")
+            raise ValueError(f"max_pending: bad queue bound {max_pending}")
         if queue_policy not in QUEUE_POLICIES:
             raise ValueError(
-                f"unknown queue policy {queue_policy!r}; have {QUEUE_POLICIES}"
+                f"queue_policy: unknown queue policy {queue_policy!r}; "
+                f"have {QUEUE_POLICIES}"
             )
         if (high_watermark is None) != (low_watermark is None):
-            raise ValueError("high and low watermarks must be set together")
+            raise ValueError(
+                "high_watermark and low_watermark must be set together"
+            )
         if high_watermark is not None:
             if queue_policy != "priority":
                 raise ValueError(
-                    "watermark shedding needs queue_policy='priority'"
+                    "high_watermark: watermark shedding needs "
+                    "queue_policy='priority'"
                 )
             if low_watermark < 0 or high_watermark <= low_watermark:
                 raise ValueError(
-                    "need 0 <= low_watermark < high_watermark: "
-                    f"{low_watermark}, {high_watermark}"
+                    "low_watermark: need 0 <= low_watermark < "
+                    f"high_watermark, got {low_watermark}, {high_watermark}"
                 )
         self.slots = slots
         self.service_seconds = float(service_seconds)
@@ -1062,19 +1066,6 @@ class FleetEngine:
         :class:`QueuedController`-wrapped third-party controllers.
         With an uncontended queue (or none) all of these coincide and
         the bit-identical guarantee holds unconditionally.
-    wave_workers:
-        Overlap independent batched-control-plane waves on a thread
-        pool of this size (0, the default, keeps the serial reference
-        path).  Three per-step sections fan out, each joining before
-        the next phase: per-family signature collection (disjoint
-        monitor families), per-group ``classify_matrix`` passes (pure
-        snapshot classification; the shared-repository lookups stay
-        serial in group order), and per-observer ``fill_rows`` blocks
-        (disjoint observers writing disjoint columns).  Results are
-        bit-identical to serial stepping (pinned in
-        ``tests/test_fleet_equivalence.py``): every parallel unit
-        touches only its own state and outputs land in submission
-        order.
     """
 
     def __init__(
@@ -1085,14 +1076,11 @@ class FleetEngine:
         profiling_queue: ProfilingQueue | None = None,
         host_map: HostMap | None = None,
         batched: bool = True,
-        wave_workers: int = 0,
     ) -> None:
         if not lanes:
             raise ValueError("a fleet needs at least one lane")
         if step_seconds <= 0:
             raise ValueError(f"step must be positive, got {step_seconds}")
-        if wave_workers < 0:
-            raise ValueError(f"wave_workers must be >= 0: {wave_workers}")
         if host_map is not None and host_map.n_lanes != len(lanes):
             raise ValueError(
                 f"host map places {host_map.n_lanes} lanes but the fleet "
@@ -1104,8 +1092,6 @@ class FleetEngine:
         self.profiling_queue = profiling_queue
         self.host_map = host_map
         self.batched = bool(batched)
-        self.wave_workers = int(wave_workers)
-        self._wave_pool = None
         # The caller's FleetLane objects are left untouched; queue
         # wrappers live in the engine's own controller list.  Managers
         # that understand the shared profiler are handed the queue
@@ -1378,19 +1364,6 @@ class FleetEngine:
 
     # -- batched control plane -----------------------------------------
 
-    def _wave_map(self, thunks: list) -> list:
-        """Run independent wave thunks; results in submission order.
-
-        Serial (the reference path) when no wave pool is live or there
-        is nothing to overlap; otherwise submit-all + join, which
-        preserves output order regardless of completion order — the
-        per-step barrier the overlapped waves synchronize on.
-        """
-        if self._wave_pool is None or len(thunks) <= 1:
-            return [thunk() for thunk in thunks]
-        futures = [self._wave_pool.submit(thunk) for thunk in thunks]
-        return [future.result() for future in futures]
-
     def _batched_adapt_wave(
         self, t: float, hour: int, day: int, workloads: list[Workload]
     ):
@@ -1466,20 +1439,13 @@ class FleetEngine:
             for (i, _ctx), row in zip(gated, rows):
                 key = controllers[i].batch_group_key()
                 by_key.setdefault(key, []).append((i, row))
-            # Classification is a pure snapshot pass per shared-model
-            # group, so groups may overlap (wave_workers); repository
-            # lookups mutate shared stats and stay serial, resolved in
-            # group insertion order either way.
-            group_list = list(by_key.values())
-            results = self._wave_map(
-                [
-                    functools.partial(self._classify_matrix, members)
-                    for members in group_list
-                ]
-            )
+            # One classification pass per shared-model group, then its
+            # repository lookups, in group insertion order.
             finish: dict[int, tuple] = {}
-            for members, result in zip(group_list, results):
-                self._resolve_group(members, result, finish)
+            for members in by_key.values():
+                self._resolve_group(
+                    members, self._classify_matrix(members), finish
+                )
             for i, ctx in gated:
                 label, certainty, entry = finish[i]
                 controllers[i].complete_batched_adapt(
@@ -1514,10 +1480,7 @@ class FleetEngine:
         for position, monitor in enumerate(monitors):
             groups.setdefault(monitor.batch_key(), []).append(position)
         rows: list[np.ndarray | None] = [None] * len(gated)
-
-        def collect_family(positions: list[int]) -> None:
-            # One monitor family: disjoint monitors, disjoint output
-            # slots — families may overlap under wave_workers.
+        for positions in groups.values():
             group_monitors = [monitors[p] for p in positions]
             matrix = group_monitors[0].collect_matrix(
                 [gated[p][1].workload for p in positions],
@@ -1525,23 +1488,10 @@ class FleetEngine:
             )
             for r, p in enumerate(positions):
                 rows[p] = self.controllers[gated[p][0]].signature_row(matrix[r])
-
-        self._wave_map(
-            [
-                functools.partial(collect_family, positions)
-                for positions in groups.values()
-            ]
-        )
         return rows
 
     def _classify_matrix(self, members: list[tuple[int, np.ndarray]]):
-        """One shared-model group's stacked classification pass.
-
-        Pure with respect to shared state (the classifier snapshots its
-        trained model), so groups can run concurrently; each group's
-        leader controller belongs to exactly that group, keeping the
-        lazily-built batch classifier single-threaded.
-        """
+        """One shared-model group's stacked classification pass."""
         leader = self.controllers[members[0][0]]
         batch = leader.batch_classifier()
         X = np.vstack([row for _i, row in members])
@@ -1709,27 +1659,6 @@ class FleetEngine:
         # Every candidate is visited on the first step; the wave then
         # refreshes each visited lane's wake time from its manager.
         self._wake[self._batch_mask] = -math.inf
-        pool = (
-            ThreadPoolExecutor(
-                max_workers=self.wave_workers,
-                thread_name_prefix=f"{self._label}-wave",
-            )
-            if self.wave_workers > 0 and self.batched
-            else None
-        )
-        self._wave_pool = pool
-        try:
-            return self._run_loop(
-                clock, end, groups, slots, observer_batches, times, n_lanes
-            )
-        finally:
-            self._wave_pool = None
-            if pool is not None:
-                pool.shutdown(wait=True)
-
-    def _run_loop(
-        self, clock, end, groups, slots, observer_batches, times, n_lanes
-    ) -> FleetResult:
         lanes = self._lanes
         controllers = self.controllers
         workloads: list[Workload] = [None] * n_lanes  # type: ignore[list-item]
@@ -1823,25 +1752,15 @@ class FleetEngine:
                     step_contexts[i] = ctx
                     controllers[i].on_step(ctx)
                 # Each observer's inputs come off the one capacity cache
-                # (serially: reading them clears its change flags); its
-                # workload list is rebuilt only when a lane's changed.
+                # (reading them clears its change flags); its workload
+                # list is rebuilt only when a lane's changed.
                 values = self._lane_capacities(t) if observer_batches else None
                 for batch in observer_batches:
                     if new_hour or batch.volatile:
                         batch.workloads = [workloads[i] for i in batch.lanes]
-                thunks = [
-                    functools.partial(
-                        self._observe_batch,
-                        t,
-                        batch,
-                        *self._observer_inputs(values, batch.index),
+                    self._observe_batch(
+                        t, batch, *self._observer_inputs(values, batch.index)
                     )
-                    for batch in observer_batches
-                ]
-                # Observers are disjoint (distinct objects, distinct
-                # lane columns), so their fill_rows blocks may overlap
-                # under wave_workers.
-                self._wave_map(thunks)
                 for i in self._dict_lanes:
                     ctx = step_contexts.get(i) or StepContext(
                         t=t, workload=workloads[i], hour=hour, day=day

@@ -291,7 +291,8 @@ class MigrationPolicy:
     def __post_init__(self) -> None:
         if self.rebalance_every < 1:
             raise ValueError(
-                f"rebalance interval must be >= 1 step: {self.rebalance_every}"
+                "rebalance_every: the rebalance interval must be >= 1 "
+                f"step, got {self.rebalance_every}"
             )
         if self.blackout_seconds < 0:
             raise ValueError(

@@ -29,27 +29,27 @@ class TestParser:
             ["fleet", "--lanes", "16", "--hours", "12", "--slots", "2"]
         )
         assert args.command == "fleet"
-        assert args.lanes == 16
+        assert args.n_lanes == 16
         assert args.hours == 12.0
-        assert args.slots == 2
+        assert args.profiling_slots == 2
         assert args.seed == 0
 
     def test_fleet_defaults(self):
         args = build_parser().parse_args(["fleet"])
-        assert args.lanes == 8
+        assert args.n_lanes == 8
         assert args.hours == 24.0
-        assert args.step == 300.0
+        assert args.step_seconds == 300.0
         assert args.mix == "scaleout"
-        assert args.hosts == 0
-        assert args.host_capacity == 12.0
+        assert args.n_hosts == 0
+        assert args.host_capacity_units == 12.0
 
     def test_fleet_hetero_flags(self):
         args = build_parser().parse_args(
             ["fleet", "--mix", "mixed", "--hosts", "4", "--host-capacity", "9.5"]
         )
         assert args.mix == "mixed"
-        assert args.hosts == 4
-        assert args.host_capacity == 9.5
+        assert args.n_hosts == 4
+        assert args.host_capacity_units == 9.5
 
     def test_fleet_unknown_mix_rejected(self):
         with pytest.raises(SystemExit):
@@ -335,6 +335,37 @@ class TestMain:
             main(["fleet", "--hosts", "2", "--faults", "bogus"])
         assert excinfo.value.code == 2
         assert "invalid --faults" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--lanes", "0"], "--lanes"),
+            (["--hours", "-1"], "--hours"),
+            (["--slots", "0"], "--slots"),
+            (["--shards", "0"], "--shards"),
+            (["--lanes", "2", "--shards", "3"], "--shards"),
+            (
+                ["--hosts", "2", "--migration", "--rebalance-every", "0"],
+                "--rebalance-every",
+            ),
+            (
+                ["--high-watermark", "3", "--low-watermark", "1"],
+                "--high-watermark",
+            ),
+            (["--step", "0", "--faults", "profiler@1+1"], "--step"),
+            (["--step", "0"], "--step"),
+        ],
+    )
+    def test_fleet_rule_violations_exit_2_naming_the_flag(
+        self, capsys, argv, flag
+    ):
+        # A study rule violation is a usage error, never a traceback.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
 
     def test_run_fleet_with_host_faults(self, capsys):
         assert (

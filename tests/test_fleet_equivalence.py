@@ -283,60 +283,6 @@ def test_batched_is_the_study_default():
     assert study.batched
 
 
-def test_overlapped_waves_match_serial_stepping():
-    """wave_workers > 1 overlaps independent schema-group waves inside
-    a step (signature collection, group classification, observation
-    fills run on a thread pool) — but results are joined per step in
-    submission order, so the run is bit-identical to serial."""
-    results = {}
-    events = {}
-    stats = {}
-    for wave_workers in (0, 4):
-        lanes, queue, managers, _providers = build_mixed_fleet(
-            profiling_slots=8
-        )
-        engine = FleetEngine(
-            lanes,
-            step_seconds=STEP,
-            profiling_queue=queue,
-            batched=True,
-            wave_workers=wave_workers,
-        )
-        results[wave_workers] = engine.run(6 * HOUR)
-        events[wave_workers] = [list(m.adaptation_events) for m in managers]
-        stats[wave_workers] = [
-            (m.repository.stats.hits, m.repository.stats.misses)
-            for m in managers
-        ]
-
-    serial, overlapped = results[0], results[4]
-    assert overlapped.schemas == serial.schemas
-    assert overlapped.lane_schemas == serial.lane_schemas
-    assert overlapped.series_names() == serial.series_names()
-    assert overlapped.n_steps > 0
-    for name in serial.series_names():
-        np.testing.assert_array_equal(
-            overlapped.matrix(name), serial.matrix(name),
-            strict=True, err_msg=name,
-        )
-    assert events[4] == events[0]
-    assert any(events[0])
-    assert stats[4] == stats[0]
-
-
-def test_wave_workers_validated():
-    lanes, queue, _managers, _providers = build_mixed_fleet(
-        profiling_slots=8
-    )
-    with pytest.raises(ValueError, match="wave_workers"):
-        FleetEngine(
-            lanes,
-            step_seconds=STEP,
-            profiling_queue=queue,
-            wave_workers=-1,
-        )
-
-
 # ----------------------------------------------------------------------
 # Priority admission in the equivalence regime (the economy's pin)
 # ----------------------------------------------------------------------
@@ -486,7 +432,6 @@ def test_batched_matches_scalar_under_every_placement(placement):
     }
     batched, scalar = results[True], results[False]
     assert batched.placement == scalar.placement == placement
-    assert batched.host_demand == "allocation"
     # The coupling must actually fire, or this proves nothing.
     assert batched.peak_host_theft > 0.0
     assert batched.result.n_steps > 0
@@ -611,46 +556,8 @@ def test_batched_matches_scalar_under_consolidation():
 
 
 class TestLegacyHostBehaviorPinned:
-    """PR 2's host coupling, re-expressed through the policy layer.
-
-    ``placement="round_robin"`` + ``host_demand="offered"`` must
-    reproduce the pre-placement study (static offered-demand footprints
-    on ``HostMap.spread``) exactly: the golden numbers below were
-    captured from the PR 4 code immediately before the refactor.
-    """
-
-    PINNED = dict(
-        n_lanes=4,
-        mix="mixed",
-        hours=12.0,
-        lane_seed_stride=0,
-        seed=0,
-        n_hosts=2,
-        host_capacity_units=5.0,
-    )
-
-    def run_offered(self, **overrides):
-        from repro.experiments.multiplexing_study import (
-            run_fleet_multiplexing_study,
-        )
-
-        kwargs = dict(self.PINNED, host_demand="offered", **overrides)
-        return run_fleet_multiplexing_study(**kwargs)
-
-    def test_round_robin_offered_reproduces_pr2_dynamics(self):
-        study = self.run_offered()
-        assert study.placement == "round_robin"
-        assert study.mean_host_theft == pytest.approx(
-            0.04398515493749479, rel=1e-9
-        )
-        assert study.peak_host_theft == pytest.approx(
-            0.18473429426475763, rel=1e-9
-        )
-        assert study.host_overload_fraction == pytest.approx(0.375, rel=1e-9)
-        assert study.violation_fraction == pytest.approx(
-            0.026041666666666668, rel=1e-9
-        )
-        assert study.interference_escalations == 1
+    """The ``HostMap.spread``/``pack`` layouts, re-expressed through the
+    policy layer."""
 
     def test_policy_placements_match_spread_and_pack(self):
         from repro.sim.hosts import HostMap

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.multiplexing_study import (
+    FleetStudySpec,
     lane_kinds,
     run_fleet_multiplexing_study,
 )
@@ -59,13 +60,51 @@ class TestValidation:
                 n_lanes=2, migration=MigrationPolicy()
             )
 
-    def test_unknown_host_demand_rejected(self):
-        with pytest.raises(ValueError, match="host_demand"):
-            run_fleet_multiplexing_study(n_lanes=2, host_demand="psychic")
-
     def test_nonpositive_demand_factor_rejected(self):
         with pytest.raises(ValueError, match="demand factors"):
             run_fleet_multiplexing_study(n_lanes=2, demand_factors=(1.0, 0.0))
+
+    @pytest.mark.parametrize("faults", [None, "profiler@1+1"])
+    def test_nonpositive_step_rejected_before_any_lane(
+        self, faults, monkeypatch
+    ):
+        # A bad step fails before any lane (or learning day) is built,
+        # also when a fault schedule divides the run length by it.
+        import repro.experiments.setup as setup
+
+        def no_lanes(*args, **kwargs):
+            raise AssertionError("a lane was built before validation")
+
+        monkeypatch.setattr(setup, "build_scaleout_setup", no_lanes)
+        with pytest.raises(ValueError, match="step_seconds"):
+            run_fleet_multiplexing_study(
+                n_lanes=2, step_seconds=0.0, faults=faults
+            )
+
+    def test_spec_defaults_are_the_study_defaults(self):
+        # The spec is the study's parameter list plus the resolved host
+        # placement; a default that drifted would validate one fleet
+        # and run another.
+        import dataclasses
+        import inspect
+
+        params = inspect.signature(run_fleet_multiplexing_study).parameters
+        fields = {
+            field.name: field.default
+            for field in dataclasses.fields(FleetStudySpec)
+        }
+        assert set(fields) - set(params) == {"host_placement"}
+        for name, param in params.items():
+            assert fields[name] == param.default, name
+
+    def test_placement_knobs_resolve_only_on_hosts(self):
+        dedicated = FleetStudySpec()
+        assert dedicated.placement is dedicated.placement_demand is None
+        hosted = FleetStudySpec(n_hosts=2)
+        assert hosted.placement == "round_robin"
+        assert hosted.placement_demand == "learning-peak"
+        with pytest.raises(ValueError, match="placement_demand"):
+            FleetStudySpec(placement_demand="learning-peak")
 
     def test_lane_families_split_by_demand_factor(self):
         from repro.experiments.multiplexing_study import lane_families

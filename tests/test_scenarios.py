@@ -138,6 +138,48 @@ class TestSchemaValidation:
         with pytest.raises(ScenarioError, match="n_hosts"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "fleet, key",
+        [
+            ({"n_lanes": 0}, "n_lanes"),
+            (
+                {"n_lanes": 2, "step_seconds": 0, "faults": "profiler@1+1"},
+                "step_seconds",
+            ),
+            (
+                {"n_lanes": 4, "n_hosts": 2, "exchange_every": 3},
+                "exchange_every",
+            ),
+            (
+                {"n_lanes": 2, "placement_demand": "forecast"},
+                "placement_demand",
+            ),
+        ],
+    )
+    def test_study_rule_violations_rejected_at_load(self, fleet, key):
+        # What the study would reject at run time fails at load time.
+        with pytest.raises(ScenarioError, match=key):
+            parse_scenario(tiny(fleet=fleet))
+
+    def test_sweep_values_validated_through_the_study_spec(self):
+        doc = tiny(
+            fleet={"n_lanes": 2},
+            sweep={"field": "hours", "values": [2.0, -1.0]},
+        )
+        with pytest.raises(ScenarioError, match="hours=-1.0.*hours"):
+            parse_scenario(doc)
+
+    def test_bad_step_names_the_file_and_key(self, tmp_path):
+        path = tmp_path / "SYN-bad-step.yaml"
+        path.write_text(
+            "id: SYN-bad-step\nstudy: fleet\nfleet:\n"
+            "  n_lanes: 2\n  step_seconds: 0\n  faults: profiler@1+1\n"
+        )
+        with pytest.raises(
+            ScenarioError, match="SYN-bad-step.yaml.*step_seconds"
+        ):
+            load_scenario(path)
+
     def test_unknown_migration_key_rejected(self):
         doc = tiny(
             fleet={"n_lanes": 2, "n_hosts": 1},

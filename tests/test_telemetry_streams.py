@@ -223,20 +223,14 @@ class TestFleetRngEquivalence:
         assert a.lane_events == b.lane_events
         assert any(a.lane_events)
 
-    @pytest.mark.parametrize("rng_mode", ["legacy", "counter"])
-    def test_batched_equals_scalar(self, rng_mode):
+    def test_batched_equals_scalar(self):
         batched = run_fleet_multiplexing_study(
-            n_lanes=4, hours=6.0, rng_mode=rng_mode, batched=True
+            n_lanes=4, hours=6.0, batched=True
         )
         scalar = run_fleet_multiplexing_study(
-            n_lanes=4, hours=6.0, rng_mode=rng_mode, batched=False
+            n_lanes=4, hours=6.0, batched=False
         )
-        assert batched.rng_mode == scalar.rng_mode == rng_mode
         self.assert_same_fleet(batched, scalar)
-
-    def test_counter_is_the_fleet_default(self):
-        study = run_fleet_multiplexing_study(n_lanes=2, hours=2.0)
-        assert study.rng_mode == "counter"
 
     def test_stride_zero_lanes_stay_identical_in_counter_mode(self):
         # lane_key = lane * stride, so stride 0 keys every lane's
@@ -246,11 +240,6 @@ class TestFleetRngEquivalence:
             hours=2.0,
             lane_seed_stride=0,
             profiling_slots=2,
-            rng_mode="counter",
         )
         matrix = study.result.matrix("latency_ms")
         assert matrix[:, 0].tolist() == matrix[:, 1].tolist()
-
-    def test_unknown_rng_mode_rejected(self):
-        with pytest.raises(ValueError, match="rng_mode"):
-            run_fleet_multiplexing_study(n_lanes=2, rng_mode="quantum")
