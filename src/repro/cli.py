@@ -38,10 +38,10 @@ responses — the baseline arm).
 ``--placement`` selects the policy that packs lanes onto those hosts
 (``repro.sim.placement``: round_robin, block, first_fit_decreasing,
 best_fit).  ``--shards``/``--workers`` partition the fleet into
-contiguous lane-range shards run by worker processes and merged exactly
-(``repro.sim.shard``); with ``--hosts`` the shards stay host-coupled
-through the cross-shard demand exchange (``repro.sim.exchange``,
-``--exchange-every`` paces the barrier).
+contiguous lane-range shards run by a thread or process pool and
+merged exactly (``repro.sim.shard``); with ``--hosts`` the shards stay
+host-coupled through the cross-shard demand exchange
+(``repro.sim.exchange``, ``--exchange-every`` paces the barrier).
 ``--placement-demand forecast`` packs
 lanes by their seasonal predicted peak (``repro.sim.forecast``)
 instead of the learning-day observed peak, and ``--consolidate`` runs
@@ -516,13 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes executing the shards (default "
         "min(shards, cpus), or the shard count on host-coupled "
-        "sweeps; 0 runs shards inline in this process)",
-    )
-    fleet.add_argument(
-        "--shard-dir",
-        default=None,
-        help="keep the per-shard .npz result files in this directory "
-        "(default: a temporary directory, cleaned up)",
+        "sweeps; 0 runs the shards as threads)",
     )
     fleet.add_argument(
         "--exchange-every",
@@ -646,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_nonnegative_int,
         default=None,
-        help="override the documents' worker counts (0 = inline)",
+        help="override the documents' worker counts (0 = threads)",
     )
     scenario_list = scenario_sub.add_parser(
         "list", help="list the scenario documents in a directory"
@@ -715,11 +709,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.shards == 1 and args.workers is not None:
             parser.error(
                 f"--workers {args.workers} has no effect without "
-                "sharding; pass --shards N (>= 2)"
-            )
-        if args.shards == 1 and args.shard_dir is not None:
-            parser.error(
-                f"--shard-dir {args.shard_dir} has no effect without "
                 "sharding; pass --shards N (>= 2)"
             )
         args.fault_schedule = None

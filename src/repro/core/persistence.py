@@ -13,9 +13,9 @@ the deployment rather than the knowledge.
 
 The second half persists :class:`~repro.sim.fleet.FleetResult` numpy
 blocks to ``.npz`` files (:func:`save_fleet_result` /
-:func:`load_fleet_result`): sharded sweep workers hand their results to
-the parent process this way, and fleet-scale sweeps too large for one
-process can archive per-shard blocks for later merging/analysis.
+:func:`load_fleet_result`), so a fleet run — or each shard of a sweep
+too large for one process — can be archived and loaded back later for
+merging (:func:`repro.sim.shard.merge_fleet_results`) or analysis.
 """
 
 from __future__ import annotations

@@ -31,7 +31,8 @@ from __future__ import annotations
 import os
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from numbers import Real
 
 import numpy as np
 
@@ -350,6 +351,21 @@ def lane_families(
     )
 
 
+def _lane_peak_demand(
+    lane: int, kind: str, trace_name: str, factors: tuple[float, ...] | None
+) -> float:
+    """One lane's trace peak: its family's default scaled by its factor.
+
+    A 1.0 factor multiplies exactly, so uniform fleets keep the
+    builders' default peaks bit for bit.
+    """
+    from repro.experiments.setup import default_peak_demand
+
+    return default_peak_demand(kind, trace_name) * lane_demand_factor(
+        lane, factors
+    )
+
+
 def _placement_estimates(
     n_lanes: int,
     mix: str,
@@ -369,31 +385,15 @@ def _placement_estimates(
     learning), so the parent of a sharded sweep can resolve the global
     placement in milliseconds before dispatching workers.
     """
-    from repro.experiments.setup import (
-        DEFAULT_PEAK_DEMAND,
-        SCALE_UP_PEAK_DEMAND,
-        make_trace,
-    )
+    from repro.experiments.setup import make_trace
     from repro.workloads.request_mix import SPECWEB_SUPPORT
 
     estimates = []
     for lane, kind in enumerate(lane_kinds(n_lanes, mix)):
-        factor = lane_demand_factor(lane, factors)
-        if kind == "scaleout":
-            peak = DEFAULT_PEAK_DEMAND * factor
-            request_mix = CASSANDRA_UPDATE_HEAVY
-        else:
-            base = SCALE_UP_PEAK_DEMAND.get(trace_name)
-            if base is None:
-                raise ValueError(
-                    f"no default scale-up demand for {trace_name!r}"
-                )
-            peak = base * factor
-            request_mix = SPECWEB_SUPPORT
         trace = make_trace(
             trace_name,
-            request_mix,
-            peak,
+            CASSANDRA_UPDATE_HEAVY if kind == "scaleout" else SPECWEB_SUPPORT,
+            _lane_peak_demand(lane, kind, trace_name, factors),
             seed=seed + lane * lane_seed_stride,
         )
         estimates.append(placement_estimate(trace, placement_demand))
@@ -409,6 +409,15 @@ _HOST_ONLY_KNOBS = (
         "picks the estimate lanes are packed onto shared hosts with",
     ),
     ("migration", "re-packs shared hosts"),
+)
+
+#: Spec fields that must hold numbers; those defaulting to ``None`` may
+#: also stay ``None``.
+_NUMERIC_FIELDS = (
+    "n_lanes", "hours", "step_seconds", "profiling_slots", "max_pending",
+    "queue_high_watermark", "queue_low_watermark",
+    "resignature_every_seconds", "lane_seed_stride", "seed", "n_hosts",
+    "host_capacity_units", "shards", "workers", "exchange_every",
 )
 
 #: :class:`ProfilingQueue` argument names the spec spells differently.
@@ -432,8 +441,11 @@ class FleetStudySpec:
     ``placement`` and ``placement_demand`` default to ``None`` ("not
     given"): on shared hosts they resolve to round-robin packing of the
     learning-day peak, and on dedicated hardware giving either is an
-    error.  ``demand_factors`` is normalized to a tuple of floats and
-    ``faults`` to a parsed :class:`~repro.sim.faults.FaultSchedule`.
+    error.  ``demand_factors`` is normalized to a tuple of floats,
+    ``faults`` to a parsed :class:`~repro.sim.faults.FaultSchedule`, and
+    ``workers`` to the pool size that runs the shards: by default
+    ``shards`` on shared hosts and ``min(shards, cpu_count)`` otherwise,
+    never more than ``shards``.
 
     A shard worker receives this spec plus a global lane range and
     reconstructs *exactly* the lanes the single-process study would
@@ -469,7 +481,6 @@ class FleetStudySpec:
     batched: bool = True
     shards: int = 1
     workers: int | None = None
-    shard_dir: str | None = None
     exchange_every: int = 1
     faults: "FaultSchedule | None" = None
     """Parsed here; the study then expands its seeded generators, so
@@ -477,6 +488,13 @@ class FleetStudySpec:
     host_placement: "tuple[int | None, ...] | None" = None
 
     def __post_init__(self) -> None:
+        defaults = {f.name: f.default for f in fields(self)}
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if value is None and defaults[name] is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name}: need a number, got {value!r}")
         if self.n_lanes < 1:
             raise ValueError(
                 f"n_lanes: need at least one lane, got {self.n_lanes}"
@@ -576,6 +594,29 @@ class FleetStudySpec:
                 f"shards: cannot cut {self.n_lanes} lanes into "
                 f"{self.shards}; each shard needs a lane"
             )
+        workers = self.workers
+        if workers is None:
+            # A host-coupled sweep runs every shard at once: each step
+            # ends at a barrier all of them must reach.
+            workers = (
+                self.shards
+                if self.n_hosts is not None
+                else min(self.shards, os.cpu_count() or 1)
+            )
+        if workers < 0:
+            raise ValueError(
+                "workers: need a pool size >= 0 (0 runs each shard as "
+                f"a thread), got {workers}"
+            )
+        if self.n_hosts is not None and 0 < workers < self.shards:
+            raise ValueError(
+                f"workers: a pool of {workers} would deadlock at the "
+                "first step barrier of a host-coupled sweep, which runs "
+                f"all {self.shards} shard(s) at once; pass workers >= "
+                f"{self.shards}, or workers=0 for threads"
+            )
+        # The pool never exceeds the shard count; record the size that ran.
+        object.__setattr__(self, "workers", min(workers, self.shards))
         if self.exchange_every < 1:
             raise ValueError(
                 "exchange_every: the exchange period must be >= 1 step, "
@@ -640,8 +681,6 @@ def _run_fleet_slice(
     # register-multiplexing study alone.
     from repro.core.manager import DejaVuConfig
     from repro.experiments.setup import (
-        DEFAULT_PEAK_DEMAND,
-        SCALE_UP_PEAK_DEMAND,
         build_scaleout_setup,
         build_scaleup_setup,
         counter_monitor,
@@ -692,20 +731,9 @@ def _run_fleet_slice(
             # Only override the manager config when a knob is set so
             # default fleets keep the builders' config=None path.
             common["config"] = DejaVuConfig(**config_kwargs)
-        if spec.demand_factors:
-            # Heterogeneously sized lanes: scale each lane's trace peak
-            # by its cycled factor (1.0 factors reproduce the defaults
-            # bit for bit, so uniform fleets are unchanged).
-            factor = lane_demand_factor(lane, spec.demand_factors)
-            if kind == "scaleout":
-                common["peak_demand"] = DEFAULT_PEAK_DEMAND * factor
-            else:
-                base = SCALE_UP_PEAK_DEMAND.get(spec.trace_name)
-                if base is None:
-                    raise ValueError(
-                        f"no default scale-up demand for {spec.trace_name!r}"
-                    )
-                common["peak_demand"] = base * factor
+        common["peak_demand"] = _lane_peak_demand(
+            lane, kind, spec.trace_name, spec.demand_factors
+        )
         if kind == "scaleout":
             return build_scaleout_setup(**common)
         return build_scaleup_setup(**common)
@@ -734,7 +762,7 @@ def _run_fleet_slice(
     # through the cross-shard exchange.  Feeds attach *before* the
     # vectorized observers are built — the observers snapshot each
     # production's injector at construction.
-    host_map = None
+    host_map = engine_hosts = None
     if spec.n_hosts is not None:
         if exchange is not None:
             if spec.host_placement is None:
@@ -742,15 +770,13 @@ def _run_fleet_slice(
                     "a sharded host-coupled slice needs the parent's "
                     "resolved host_placement in the spec"
                 )
-            full_map = HostMap(
+            host_map = HostMap(
                 make_hosts(spec.n_hosts, spec.host_capacity_units),
                 list(spec.host_placement),
                 demand_fn=allocation_demand,
                 migration=spec.migration,
             )
-            if spec.faults is not None and spec.faults.any_host_faults:
-                full_map.attach_faults(spec.faults)
-            host_map = ShardHostView(full_map, lane_lo, lane_hi, exchange)
+            engine_hosts = ShardHostView(host_map, lane_lo, lane_hi, exchange)
         else:
             estimates = [
                 placement_estimate(setup.trace, spec.placement_demand)
@@ -764,10 +790,11 @@ def _run_fleet_slice(
                 demand_fn=allocation_demand,
                 migration=spec.migration,
             )
-            if spec.faults is not None and spec.faults.any_host_faults:
-                host_map.attach_faults(spec.faults)
+            engine_hosts = host_map
+        if spec.faults is not None and spec.faults.any_host_faults:
+            host_map.attach_faults(spec.faults)
         for offset, setup in enumerate(setups):
-            setup.production.injector = host_map.feed(offset)
+            setup.production.injector = engine_hosts.feed(offset)
 
     # One vectorized observer per service *kind* (lanes of one kind
     # share a performance model regardless of demand factor): lanes
@@ -853,7 +880,7 @@ def _run_fleet_slice(
         step_seconds=spec.step_seconds,
         label=f"fleet-{spec.n_lanes}",
         profiling_queue=queue,
-        host_map=host_map,
+        host_map=engine_hosts,
         batched=spec.batched,
     )
     duration = spec.hours * HOUR
@@ -983,16 +1010,11 @@ def _shard_worker(
     spec: FleetStudySpec,
     lane_lo: int,
     lane_hi: int,
-    result_path: str,
     exchange: DemandExchange | None = None,
-) -> dict:
-    """One worker process's job: run a slice, persist it, return stats."""
+) -> tuple[FleetResult, dict]:
+    """One shard's job: run a slice, detach from the exchange."""
     try:
-        result, payload = _run_fleet_slice(
-            spec, lane_lo, lane_hi, exchange=exchange
-        )
-        result.to_npz(result_path)
-        return payload
+        return _run_fleet_slice(spec, lane_lo, lane_hi, exchange=exchange)
     finally:
         if exchange is not None:
             exchange.close()
@@ -1129,7 +1151,6 @@ def run_fleet_multiplexing_study(
     batched: bool = True,
     shards: int = 1,
     workers: int | None = None,
-    shard_dir: str | None = None,
     exchange_every: int = 1,
     faults=None,
 ) -> FleetMultiplexingStudy:
@@ -1217,12 +1238,13 @@ def run_fleet_multiplexing_study(
     bit).
 
     ``shards``/``workers`` partition the fleet into contiguous global
-    lane ranges executed by worker processes (``spawn``), each
-    persisting its :class:`FleetResult` via ``to_npz`` before the
-    parent merges them (:mod:`repro.sim.shard`).  ``workers=None``
-    picks ``min(shards, cpu_count)``; ``workers=0`` runs the shards
-    inline (deterministic single-process debugging of the exact shard
-    path).  Sharding models one profiling environment (with
+    lane ranges submitted to one pool (:mod:`repro.sim.shard`); each
+    shard returns its :class:`FleetResult` through its future and the
+    parent merges them.  ``workers=0`` runs the shards as threads of
+    this process (single-process debugging of the exact shard path);
+    any other count runs them in that many ``spawn`` worker processes,
+    ``min(shards, cpu_count)`` when not given.  Sharding models one
+    profiling environment (with
     ``profiling_slots`` clone VMs) *per shard*: with an uncontended
     queue the merged result is bit-identical to the single-process run,
     while under contention per-shard queues legitimately wait less than
@@ -1238,13 +1260,13 @@ def run_fleet_multiplexing_study(
     theft pass locally — the merged result stays bit-identical to the
     single-process host-coupled run (pinned in
     ``tests/test_fleet_shard.py``).  Because every shard must reach
-    the barrier each step, ``workers=None`` defaults to ``shards``
-    (undersized pools are rejected) and ``workers=0`` runs the shards
-    as threads.  ``exchange_every`` paces the barrier: 1 (default)
-    exchanges every step and preserves bit-identicality; larger
-    periods let workers run ahead on cached remote demands between
-    barriers — an approximation — with migrations committing only at
-    exchange steps so workers' plans cannot diverge.
+    the barrier each step, ``workers`` defaults to ``shards`` and
+    undersized pools are rejected.  ``exchange_every`` paces the
+    barrier: 1 (default) exchanges every step and preserves
+    bit-identicality; larger periods let workers run ahead on cached
+    remote demands between barriers — an approximation — with
+    migrations committing only at exchange steps so workers' plans
+    cannot diverge.
 
     ``faults`` injects a deterministic fault timeline
     (:mod:`repro.sim.faults`): a :class:`~repro.sim.faults.FaultSchedule`,
@@ -1294,7 +1316,6 @@ def run_fleet_multiplexing_study(
         batched=batched,
         shards=shards,
         workers=workers,
-        shard_dir=shard_dir,
         exchange_every=exchange_every,
         faults=faults,
     )
@@ -1338,23 +1359,12 @@ def run_fleet_multiplexing_study(
         if n_hosts is not None
         else None
     )
-    # The pool never exceeds the shard count; record the size that ran.
-    # A host-coupled sweep must run every shard concurrently (each step
-    # ends at a barrier), so its default is the full shard count and
-    # run_sharded rejects undersized pools.
-    if workers is None:
-        effective_workers = (
-            shards if exchange is not None else min(shards, os.cpu_count() or 1)
-        )
-    else:
-        effective_workers = min(workers, shards)
     merged, payloads, wall_seconds = run_sharded(
         _shard_worker,
         spec,
         n_lanes=n_lanes,
         shards=shards,
-        workers=effective_workers,
-        shard_dir=shard_dir,
+        workers=spec.workers,
         label=f"fleet-{n_lanes}",
         exchange=exchange,
     )
@@ -1364,5 +1374,5 @@ def run_fleet_multiplexing_study(
         payloads,
         engine_seconds=wall_seconds,
         shards=shards,
-        workers=effective_workers,
+        workers=spec.workers,
     )

@@ -66,6 +66,15 @@ SCALE_UP_PEAK_DEMAND = {"hotmail": 6.0, "messenger": 6.6}
 DEFAULT_LATENCY_MARGIN = 0.85
 
 
+def default_peak_demand(kind: str, trace_name: str) -> float:
+    """The default trace peak of a ``scaleout`` or ``scaleup`` lane."""
+    if kind == "scaleout":
+        return DEFAULT_PEAK_DEMAND
+    if trace_name not in SCALE_UP_PEAK_DEMAND:
+        raise ValueError(f"no default scale-up demand for {trace_name!r}")
+    return SCALE_UP_PEAK_DEMAND[trace_name]
+
+
 def peak_clients_for(mix: RequestMix, peak_demand: float) -> float:
     """Trace peak in clients such that peak demand equals ``peak_demand``."""
     if peak_demand <= 0:
@@ -251,9 +260,7 @@ def build_scaleup_setup(
     counter-mode monitors for batch-/shard-invariant telemetry.
     """
     if peak_demand is None:
-        if trace_name not in SCALE_UP_PEAK_DEMAND:
-            raise ValueError(f"no default scale-up demand for {trace_name!r}")
-        peak_demand = SCALE_UP_PEAK_DEMAND[trace_name]
+        peak_demand = default_peak_demand("scaleup", trace_name)
     service = SpecWebService()
     trace = make_trace(trace_name, SPECWEB_SUPPORT, peak_demand, seed=trace_seed)
     provider = CloudProvider(max_instances=fixed_count)

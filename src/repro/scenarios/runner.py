@@ -156,8 +156,8 @@ def run_scenario(
     """Execute one scenario's full run grid.
 
     ``workers`` overrides a fleet document's worker count (the CI smoke
-    passes ``0`` to force the inline, pool-free shard path); placement
-    studies always run in one process.
+    passes ``0`` to run the shards as threads of this process);
+    placement studies always run in one process.
     """
     if scenario.study == "fleet":
         return _run_fleet(scenario, workers)

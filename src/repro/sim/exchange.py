@@ -1,4 +1,4 @@
-"""Cross-shard demand exchange: host coupling across worker processes.
+"""Cross-shard demand exchange: host coupling across shard workers.
 
 Sharded sweeps (:mod:`repro.sim.shard`) historically modeled dedicated
 hardware: any placement of shared hosts couples lanes across shard
@@ -22,13 +22,15 @@ migration plans and host statistics are bit-identical across workers
 and identical to the single-process run (pinned in
 ``tests/test_fleet_shard.py`` and ``tests/test_host_exchange.py``).
 
-:class:`DemandExchange` is one shard's handle: in **process mode** it
-carries the shared-memory block's name plus a
-``multiprocessing.Manager`` barrier proxy (both picklable through the
-``spawn`` pool), attaching lazily on first use; in **thread mode**
-(``workers=0``) it holds the block array and a ``threading.Barrier``
-directly.  :class:`ShardHostView` adapts the global map to the fleet
-engine's host contract for one lane slice.
+The block always lives in one named shared-memory segment that the
+sweep's parent creates and unlinks (:func:`demand_segment`).
+:class:`DemandExchange` is one shard's handle: it carries the segment's
+name and a barrier and attaches by name on first use, so the same
+handle serves a shard running as a thread of the parent or in a
+``spawn`` worker process — only the barrier differs (a
+``threading.Barrier`` or a ``multiprocessing.Manager`` barrier proxy).
+:class:`ShardHostView` adapts the global map to the fleet engine's
+host contract for one lane slice.
 
 ``exchange_every > 1`` trades fidelity for barrier traffic: between
 exchanges a worker folds only its *own* lanes' fresh demand into the
@@ -43,12 +45,18 @@ migration and fault commit lands on an exchange step.
 
 from __future__ import annotations
 
-import threading
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.sim.hosts import HostMap
+
+#: Prefix of the shared-memory segments backing demand exchanges; the
+#: cleanup regression tests glob for it.
+SHM_PREFIX = "fleet-demand"
 
 #: Wall-clock bound on one barrier wait; a dead or wedged worker breaks
 #: the barrier for everyone within this window instead of hanging the
@@ -81,25 +89,45 @@ class ExchangeSpec:
             )
 
 
-def _attach_block(name: str, n_lanes: int):
-    """Attach to the named shared-memory block as a float64 vector."""
+@contextmanager
+def demand_segment(n_lanes: int) -> Iterator[str]:
+    """A zeroed float64 shared-memory block of ``n_lanes``; yields its name.
+
+    The segment is closed and unlinked on exit however the sweep
+    ended, so a crashed worker or a timed-out barrier cannot leak
+    ``/dev/shm`` blocks.  ``FileNotFoundError`` on
+    unlink is tolerated in case a resource tracker got there first.
+    """
+    # Imported on use, like in ``DemandExchange.block``: studies that
+    # never shard should not pay for loading the shared-memory stack.
+    import uuid
     from multiprocessing import shared_memory
 
-    segment = shared_memory.SharedMemory(name=name)
-    block = np.ndarray((n_lanes,), dtype=np.float64, buffer=segment.buf)
-    return segment, block
+    segment = shared_memory.SharedMemory(
+        create=True,
+        size=n_lanes * np.dtype(np.float64).itemsize,
+        name=f"{SHM_PREFIX}-{os.getpid()}-{uuid.uuid4().hex[:8]}",
+    )
+    try:
+        np.ndarray((n_lanes,), dtype=np.float64, buffer=segment.buf)[:] = 0.0
+        yield segment.name
+    finally:
+        segment.close()
+        try:
+            segment.unlink()
+        except FileNotFoundError:
+            pass
 
 
 class DemandExchange:
     """One shard worker's handle on the shared per-lane demand block.
 
-    The block is a float64 vector of length ``n_lanes`` (global);
-    this handle owns the ``[lane_lo, lane_hi)`` slice.  Exactly one of
-    ``shm_name`` (process mode — attach lazily, so the handle pickles
-    through the spawn pool) or ``block`` (thread mode — the array is
-    shared directly) must be given.  ``barrier`` is a
-    ``threading.Barrier``-shaped object whose party count is the shard
-    count; Manager barrier proxies satisfy the contract across
+    The block is a float64 vector of length ``n_lanes`` (global) in the
+    shared-memory segment named ``shm_name``; this handle owns the
+    ``[lane_lo, lane_hi)`` slice and attaches lazily, so it pickles
+    through a ``spawn`` pool as well as serving a thread.  ``barrier``
+    is a ``threading.Barrier``-shaped object whose party count is the
+    shard count; Manager barrier proxies satisfy the contract across
     processes.
     """
 
@@ -109,10 +137,9 @@ class DemandExchange:
         lane_lo: int,
         lane_hi: int,
         barrier,
+        shm_name: str,
         exchange_every: int = 1,
         timeout_seconds: float = DEFAULT_BARRIER_TIMEOUT_SECONDS,
-        shm_name: str | None = None,
-        block: np.ndarray | None = None,
     ) -> None:
         if not 0 <= lane_lo < lane_hi <= n_lanes:
             raise ValueError(
@@ -122,16 +149,6 @@ class DemandExchange:
             raise ValueError(
                 f"exchange period must be >= 1 step: {exchange_every}"
             )
-        if (shm_name is None) == (block is None):
-            raise ValueError(
-                "pass exactly one of shm_name (process mode) or "
-                "block (thread mode)"
-            )
-        if block is not None and block.shape != (n_lanes,):
-            raise ValueError(
-                f"demand block holds {block.shape} values for "
-                f"{n_lanes} lanes"
-            )
         self.n_lanes = n_lanes
         self.lane_lo = lane_lo
         self.lane_hi = lane_hi
@@ -139,27 +156,27 @@ class DemandExchange:
         self.timeout_seconds = float(timeout_seconds)
         self._barrier = barrier
         self._shm_name = shm_name
+        # The view before the mapping: dropping a handle then releases
+        # the array's buffer export before the segment closes.
+        self._block = None
         self._segment = None
-        self._block = block
 
     def __getstate__(self):
-        if self._shm_name is None:
-            raise TypeError(
-                "a thread-mode DemandExchange shares its block by "
-                "reference and cannot cross a process boundary"
-            )
         state = self.__dict__.copy()
         # The attachment is per-process; the worker re-attaches lazily.
-        state["_segment"] = None
         state["_block"] = None
+        state["_segment"] = None
         return state
 
     @property
     def block(self) -> np.ndarray:
         """The full global demand vector (attaching on first use)."""
         if self._block is None:
-            self._segment, self._block = _attach_block(
-                self._shm_name, self.n_lanes
+            from multiprocessing import shared_memory
+
+            self._segment = shared_memory.SharedMemory(name=self._shm_name)
+            self._block = np.ndarray(
+                (self.n_lanes,), dtype=np.float64, buffer=self._segment.buf
             )
         return self._block
 
@@ -189,12 +206,12 @@ class DemandExchange:
         return full
 
     def close(self) -> None:
-        """Detach from the shared block (process mode; thread no-op).
+        """Detach from the shared block.
 
-        The parent owns the segment's lifetime and unlinks it; workers
-        only drop their mapping.
+        The sweep's parent owns the segment's lifetime and unlinks it;
+        workers only drop their mapping.
         """
-        self._block = None if self._shm_name is not None else self._block
+        self._block = None
         if self._segment is not None:
             self._segment.close()
             self._segment = None
@@ -205,8 +222,7 @@ def make_exchange_handles(
     ranges: list[range],
     spec: ExchangeSpec,
     barrier,
-    shm_name: str | None = None,
-    block: np.ndarray | None = None,
+    shm_name: str,
 ) -> list[DemandExchange]:
     """One :class:`DemandExchange` handle per shard range, in order."""
     return [
@@ -215,10 +231,9 @@ def make_exchange_handles(
             lane_lo=lanes.start,
             lane_hi=lanes.stop,
             barrier=barrier,
+            shm_name=shm_name,
             exchange_every=spec.exchange_every,
             timeout_seconds=spec.barrier_timeout_seconds,
-            shm_name=shm_name,
-            block=block,
         )
         for lanes in ranges
     ]
@@ -233,7 +248,8 @@ class ShardHostView:
     identically.  ``apply_step`` computes the slice's demand
     contributions, synchronizes them through the exchange, and runs the
     global theft pass locally — so feeds, migration plans and host
-    statistics come out exactly as the single-process map's would.
+    statistics (read off ``view.map``) come out exactly as the
+    single-process map's would.
 
     Only the built-in demand footprints (offered / allocation) are
     supported: a custom ``demand_fn`` receives lane indices, which
@@ -324,58 +340,3 @@ class ShardHostView:
             t, self._cached, rebalance=exchanged
         )
         return thefts[self.lane_lo : self.lane_hi]
-
-    # -- statistics passthroughs (payload assembly) --------------------
-
-    @property
-    def n_hosts(self) -> int:
-        return self.map.n_hosts
-
-    @property
-    def overload_fraction(self) -> float:
-        return self.map.overload_fraction
-
-    @property
-    def mean_theft(self) -> float:
-        return self.map.mean_theft
-
-    @property
-    def peak_theft(self) -> float:
-        return self.map.peak_theft
-
-    @property
-    def migrations(self) -> int:
-        return self.map.migrations
-
-    @property
-    def host_failures(self) -> int:
-        return self.map.host_failures
-
-    @property
-    def host_recoveries(self) -> int:
-        return self.map.host_recoveries
-
-    @property
-    def evacuations(self) -> int:
-        return self.map.evacuations
-
-    @property
-    def unplaced_evacuations(self) -> int:
-        return self.map.unplaced_evacuations
-
-    @property
-    def host_on_steps(self) -> int:
-        return self.map.host_on_steps
-
-
-def make_thread_exchange(
-    n_lanes: int, ranges: list[range], spec: ExchangeSpec
-) -> list[DemandExchange]:
-    """Thread-mode exchange: one in-process block + barrier, one handle
-    per shard.  The ``workers=0`` path of :func:`repro.sim.shard.
-    run_sharded` runs shards as threads against these handles."""
-    barrier = threading.Barrier(len(ranges))
-    block = np.zeros(n_lanes, dtype=np.float64)
-    return make_exchange_handles(
-        n_lanes, ranges, spec, barrier, block=block
-    )

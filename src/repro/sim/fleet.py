@@ -745,7 +745,7 @@ class QueuedController:
 class _RowBuffer:
     """A growable ``(n_steps, n_lanes)`` float buffer (doubling growth)."""
 
-    def __init__(self, n_lanes: int, capacity: int = 256) -> None:
+    def __init__(self, n_lanes: int, capacity: int) -> None:
         self._data = np.empty((capacity, n_lanes), dtype=float)
         self._len = 0
 
@@ -813,10 +813,13 @@ class _SchemaGroup:
         self.row: np.ndarray | None = None
         self.buffers: dict[str, _RowBuffer] = {}
 
-    def allocate(self) -> None:
-        """Create the row and buffers once membership is final."""
+    def allocate(self, capacity: int) -> None:
+        """Create the row, and buffers of ``capacity`` steps, once
+        membership is final."""
         self.row = np.empty((len(self.names), len(self.lanes)), dtype=float)
-        self.buffers = {name: _RowBuffer(len(self.lanes)) for name in self.names}
+        self.buffers = {
+            name: _RowBuffer(len(self.lanes), capacity) for name in self.names
+        }
 
 
 @dataclass
@@ -957,10 +960,8 @@ class FleetResult:
         )
 
     def to_npz(self, path: "str | Path") -> None:
-        """Persist the numpy blocks to one ``.npz`` file.
-
-        The sharded sweep driver writes each worker's shard result this
-        way and merges the files in the parent process; see
+        """Persist the numpy blocks to one ``.npz`` file, for archival
+        or later analysis; see
         :func:`repro.core.persistence.save_fleet_result`.
         """
         from repro.core.persistence import save_fleet_result
@@ -1288,7 +1289,7 @@ class FleetEngine:
         )
 
     def _build_groups(
-        self, first_observations: list[dict[str, float]]
+        self, first_observations: list[dict[str, float]], capacity: int
     ) -> tuple[list[_SchemaGroup], list[tuple[int, int]]]:
         """Fix every lane's schema from its first observation.
 
@@ -1310,7 +1311,7 @@ class FleetEngine:
             slots.append((index, len(group.lanes)))
             group.lanes.append(i)
         for group in groups:
-            group.allocate()
+            group.allocate(capacity)
         return groups, slots
 
     def _fill_row(
@@ -1733,7 +1734,11 @@ class FleetEngine:
                                 f"lane order the observer was built with"
                             )
                     first_observations.append(observation)
-                groups, slots = self._build_groups(first_observations)
+                # Sized for the whole run up front: no regrowth copy
+                # raises the recording's peak memory.
+                groups, slots = self._build_groups(
+                    first_observations, int((end - t) / self._step) + 1
+                )
                 for i, observation in enumerate(first_observations):
                     index, column = slots[i]
                     self._fill_row(groups[index], column, lanes[i], observation)

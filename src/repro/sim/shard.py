@@ -1,14 +1,13 @@
-"""Sharded multiprocess fleet sweeps: partition, execute, persist, merge.
+"""Sharded fleet sweeps: partition, execute, merge.
 
 A 200+-lane fleet fits one process, but the multiplexing economics the
 paper argues for (Sec. 5) are worth sweeping at scales and parameter
 grids that do not.  This module cuts a fleet into contiguous **shards**
-of global lane indices, runs each shard in a worker process
-(``ProcessPoolExecutor`` with the ``spawn`` start method, so workers
-re-import the package instead of inheriting simulator state), persists
-every shard's :class:`~repro.sim.fleet.FleetResult` numpy blocks to an
-``.npz`` file (:meth:`FleetResult.to_npz`), and merges the shard files
-back into one fleet-wide result.
+of global lane indices, submits every shard to one concurrent pool —
+threads of this process, or ``spawn`` worker processes that re-import
+the package instead of inheriting simulator state — and merges the
+:class:`~repro.sim.fleet.FleetResult` each shard returns through its
+future into one fleet-wide result.
 
 The merge is exact, not approximate: lane simulations in this codebase
 interact only through the profiling queue and shared hosts.  The
@@ -21,20 +20,17 @@ pass locally.  Either way, with counter-mode telemetry streams the
 merged result is bit-identical to the single-process run (pinned in
 ``tests/test_fleet_shard.py``).
 
-The module is deliberately generic: it knows how to partition, execute,
-persist and merge, while the *worker* callable (a module-level function
-so ``spawn`` can pickle it by reference) owns fleet construction — see
+The module is deliberately generic: it knows how to partition, execute
+and merge, while the *worker* callable (a module-level function so
+``spawn`` can pickle it by reference) owns fleet construction — see
 :func:`repro.experiments.multiplexing_study.run_fleet_multiplexing_study`
 ``(shards=, workers=)`` and ``repro.cli fleet --shards/--workers``.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 import threading
 import time
-import uuid
 from collections import Counter
 from concurrent.futures import (
     FIRST_EXCEPTION,
@@ -42,22 +38,18 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
+from contextlib import ExitStack
 from multiprocessing import get_context
-from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.sim.exchange import (
     ExchangeSpec,
+    demand_segment,
     make_exchange_handles,
-    make_thread_exchange,
 )
 from repro.sim.fleet import FleetResult
-
-#: Prefix of the shared-memory segments backing demand exchanges; the
-#: cleanup regression test globs for it.
-SHM_PREFIX = "fleet-demand"
 
 
 def partition_lanes(n_lanes: int, shards: int) -> list[range]:
@@ -192,17 +184,22 @@ def merge_fleet_results(
     )
 
 
-def _drain_exchange_futures(futures: list, barrier) -> list[dict]:
-    """Collect exchange-coupled worker results, failing fast on crash.
+def _drain_futures(futures: list, barrier) -> list:
+    """Collect every shard's result, failing fast on a crash.
 
     A worker that dies outside a barrier wait leaves its peers blocked
-    at the barrier until the wait times out; aborting the barrier as
-    soon as the first failure lands breaks every pending and future
-    wait immediately.  The first *root-cause* exception (anything that
-    is not the induced ``BrokenBarrierError``) is re-raised.
+    at the barrier until the wait times out; aborting the ``barrier``
+    (when the sweep has one) as soon as the first failure lands breaks
+    every pending and future wait immediately.  The first *root-cause*
+    exception (anything that is not the induced ``BrokenBarrierError``)
+    is re-raised.
     """
     done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-    if not_done and any(f.exception() is not None for f in done):
+    if (
+        barrier is not None
+        and not_done
+        and any(f.exception() is not None for f in done)
+    ):
         try:
             barrier.abort()
         except Exception:
@@ -220,51 +217,43 @@ def _drain_exchange_futures(futures: list, barrier) -> list[dict]:
 
 
 def run_sharded(
-    worker: Callable[..., dict],
+    worker: Callable[..., tuple[FleetResult, dict]],
     spec: Any,
     n_lanes: int,
     shards: int,
-    workers: int | None = None,
-    shard_dir: str | Path | None = None,
+    workers: int,
     label: str = "fleet",
     exchange: ExchangeSpec | None = None,
 ) -> tuple[FleetResult, list[dict], float]:
-    """Execute a sharded sweep and merge the persisted shard results.
+    """Execute a sharded sweep and merge the shard results.
 
     ``worker`` must be a module-level callable (``spawn`` pickles it by
-    reference) with signature ``worker(spec, lane_lo, lane_hi,
-    result_path) -> payload``: it simulates global lanes
-    ``[lane_lo, lane_hi)``, persists the shard's
-    :class:`~repro.sim.fleet.FleetResult` to ``result_path`` via
-    ``to_npz``, and returns a small picklable stats payload.
+    reference) with signature ``worker(spec, lane_lo, lane_hi) ->
+    (result, payload)``: it simulates global lanes ``[lane_lo,
+    lane_hi)`` and returns the shard's
+    :class:`~repro.sim.fleet.FleetResult` plus a small picklable stats
+    payload, both through its future.
 
-    ``workers`` sizes the process pool (default
-    ``min(shards, cpu_count)``); ``workers=0`` runs every shard inline
-    in this process — the exact shard code path, deterministic and
-    debuggable, with no pool.  ``shard_dir`` keeps the per-shard
-    ``.npz`` files (for archival or out-of-band merging); by default a
-    temporary directory is used and cleaned up.
+    Every shard is submitted to one pool: ``workers=0`` runs them as
+    threads of this process (deterministic and debuggable, with the
+    exact shard code path), any other count as ``spawn`` processes,
+    ``min(workers, shards)`` of them.
 
     ``exchange`` couples the shards through a cross-shard demand
-    exchange (shared hosts): the worker gains a fifth positional
+    exchange (shared hosts): the worker gains a fourth positional
     argument, a :class:`~repro.sim.exchange.DemandExchange` handle on
     one shared-memory demand block, and every shard must run
-    *concurrently* because each step ends at a barrier.  Consequently
-    ``workers`` defaults to ``shards`` (not the CPU count — an
-    undersized pool would deadlock at the first barrier, so ``0 <
-    workers < shards`` is rejected) and ``workers=0`` runs the shards
-    as threads instead of inline.  The block and barrier are
-    guaranteed released/unlinked on any exit, including worker crashes
-    and barrier timeouts.
+    *concurrently* because each step ends at a barrier — a
+    ``threading.Barrier`` for threads, a ``multiprocessing.Manager``
+    barrier for processes.  An undersized pool would deadlock at the
+    first barrier, so ``0 < workers < shards`` is rejected.  The block
+    and barrier are guaranteed released/unlinked on any exit, including
+    worker crashes and barrier timeouts.
 
     Returns ``(merged_result, payloads_in_shard_order, wall_seconds)``
     where ``wall_seconds`` covers dispatch through merge.
     """
     ranges = partition_lanes(n_lanes, shards)
-    if workers is None:
-        workers = shards if exchange is not None else min(
-            shards, os.cpu_count() or 1
-        )
     if workers < 0:
         raise ValueError(f"workers must be >= 0: {workers}")
     if exchange is not None and 0 < workers < shards:
@@ -274,97 +263,32 @@ def run_sharded(
             f"at the first wait — pass workers >= {shards}, or workers=0 "
             "to run the shards as threads"
         )
-    own_tmp = None
-    if shard_dir is None:
-        own_tmp = tempfile.TemporaryDirectory(prefix="fleet-shards-")
-        shard_dir = own_tmp.name
-    directory = Path(shard_dir)
-    jobs: list[tuple] = []
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        jobs = [
-            (spec, lanes.start, lanes.stop, str(directory / f"shard_{k:03d}.npz"))
-            for k, lanes in enumerate(ranges)
-        ]
-        start = time.perf_counter()
-        if workers == 0:
-            if exchange is None:
-                payloads = [worker(*job) for job in jobs]
+    jobs = [(spec, lanes.start, lanes.stop) for lanes in ranges]
+    ctx = get_context("spawn")
+    start = time.perf_counter()
+    with ExitStack() as stack:
+        barrier = None
+        if exchange is not None:
+            shm_name = stack.enter_context(demand_segment(n_lanes))
+            if workers == 0:
+                barrier = threading.Barrier(shards)
             else:
-                # Sequential execution would deadlock at the first
-                # barrier, so the inline path runs shards as threads:
-                # same process, same determinism guarantees (each
-                # shard's simulation state is thread-local).
-                handles = make_thread_exchange(n_lanes, ranges, exchange)
-                with ThreadPoolExecutor(max_workers=shards) as pool:
-                    futures = [
-                        pool.submit(worker, *job, handle)
-                        for job, handle in zip(jobs, handles)
-                    ]
-                    payloads = _drain_exchange_futures(
-                        futures, handles[0]._barrier
-                    )
-        elif exchange is None:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, shards),
-                mp_context=get_context("spawn"),
-            ) as pool:
-                futures = [pool.submit(worker, *job) for job in jobs]
-                payloads = [future.result() for future in futures]
-        else:
-            from multiprocessing import shared_memory
-
-            ctx = get_context("spawn")
-            segment = shared_memory.SharedMemory(
-                create=True,
-                size=n_lanes * np.dtype(np.float64).itemsize,
-                name=f"{SHM_PREFIX}-{os.getpid()}-{uuid.uuid4().hex[:8]}",
+                barrier = stack.enter_context(ctx.Manager()).Barrier(shards)
+            handles = make_exchange_handles(
+                n_lanes, ranges, exchange, barrier, shm_name
             )
-            manager = None
-            try:
-                np.ndarray(
-                    (n_lanes,), dtype=np.float64, buffer=segment.buf
-                )[:] = 0.0
-                manager = ctx.Manager()
-                barrier = manager.Barrier(shards)
-                handles = make_exchange_handles(
-                    n_lanes, ranges, exchange, barrier,
-                    shm_name=segment.name,
-                )
-                with ProcessPoolExecutor(
-                    max_workers=shards, mp_context=ctx
-                ) as pool:
-                    futures = [
-                        pool.submit(worker, *job, handle)
-                        for job, handle in zip(jobs, handles)
-                    ]
-                    payloads = _drain_exchange_futures(futures, barrier)
-            finally:
-                # The parent owns the segment: close the mapping and
-                # unlink the name no matter how the sweep ended, so a
-                # crashed worker or timed-out barrier cannot leak
-                # /dev/shm blocks.  FileNotFoundError is tolerated in
-                # case a resource tracker got there first.
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:
-                    pass
-                if manager is not None:
-                    manager.shutdown()
-        parts = [FleetResult.from_npz(job[3]) for job in jobs]
-        merged = merge_fleet_results(parts, label=label)
-        wall_seconds = time.perf_counter() - start
-        return merged, payloads, wall_seconds
-    except BaseException:
-        # A failed sweep keeps nothing: shards that completed before
-        # the failure would otherwise orphan their .npz files in a
-        # caller-provided shard_dir (the temp dir case is covered by
-        # cleanup() below).  Successful sweeps with an explicit
-        # shard_dir keep their files, as documented.
-        for job in jobs:
-            Path(job[3]).unlink(missing_ok=True)
-        raise
-    finally:
-        if own_tmp is not None:
-            own_tmp.cleanup()
+            jobs = [job + (handle,) for job, handle in zip(jobs, handles)]
+        pool = stack.enter_context(
+            ThreadPoolExecutor(max_workers=shards)
+            if workers == 0
+            else ProcessPoolExecutor(
+                max_workers=min(workers, shards), mp_context=ctx
+            )
+        )
+        futures = [pool.submit(worker, *job) for job in jobs]
+        outcomes = _drain_futures(futures, barrier)
+    merged = merge_fleet_results(
+        [result for result, _payload in outcomes], label=label
+    )
+    wall_seconds = time.perf_counter() - start
+    return merged, [payload for _result, payload in outcomes], wall_seconds

@@ -293,13 +293,20 @@ class TestMain:
         assert excinfo.value.code == 2
         assert "--shards" in capsys.readouterr().err
 
-    def test_fleet_shard_dir_without_shards_fails_loudly(
-        self, capsys, tmp_path
-    ):
+    @pytest.mark.parametrize("workers", ("1", "-1"))
+    def test_fleet_bad_workers_fail_loudly(self, capsys, workers):
+        # An undersized pool on a host-coupled sweep would deadlock at
+        # the first barrier; it used to fail with a traceback after
+        # placement was built.
         with pytest.raises(SystemExit) as excinfo:
-            main(["fleet", "--shard-dir", str(tmp_path)])
+            main(
+                [
+                    "fleet", "--lanes", "4", "--hours", "1",
+                    "--hosts", "2", "--shards", "2", "--workers", workers,
+                ]
+            )
         assert excinfo.value.code == 2
-        assert "--shards" in capsys.readouterr().err
+        assert "--workers" in capsys.readouterr().err
 
     def test_fleet_exchange_every_needs_shards_and_hosts(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

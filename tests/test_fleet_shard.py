@@ -1,8 +1,8 @@
 """Sharded fleet sweeps: partitioning, npz persistence, exact merging.
 
 The contract under test: a fleet cut into contiguous shards — each run
-by a worker process against its own profiling environment, persisted
-via ``FleetResult.to_npz`` and merged by the parent — produces the
+by a thread or worker process against its own profiling environment,
+returned through its future and merged by the parent — produces the
 same ``FleetResult``, per-lane rows, and per-lane adaptation-event
 ordering as the single-process run, bit for bit — for non-interacting
 lanes (uncontended queue, counter or legacy streams) and for
@@ -17,16 +17,11 @@ import numpy as np
 import pytest
 
 from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
-from repro.sim.exchange import ExchangeSpec
+from repro.sim.exchange import SHM_PREFIX, ExchangeSpec
 from repro.sim.faults import FaultSchedule, HostFaultEvent
 from repro.sim.fleet import FleetResult
 from repro.sim.placement import MigrationPolicy
-from repro.sim.shard import (
-    SHM_PREFIX,
-    merge_fleet_results,
-    partition_lanes,
-    run_sharded,
-)
+from repro.sim.shard import merge_fleet_results, partition_lanes, run_sharded
 
 
 class _StubMix:
@@ -41,20 +36,20 @@ class _StubWorkload:
         self.mix = _StubMix()
 
 
-def _worker_failing_after_first(spec, lane_lo, lane_hi, result_path):
-    """Persists shard 0, then dies — leaves an orphan unless cleaned up."""
+def _worker_failing_after_first(spec, lane_lo, lane_hi):
+    """Shard 0 completes; every other shard dies."""
     if lane_lo > 0:
         raise RuntimeError("worker crashed mid-sweep")
-    FleetResult(
+    result = FleetResult(
         label="shard-0",
         lane_labels=tuple(f"svc-{i}" for i in range(lane_lo, lane_hi)),
         times=np.array([0.0]),
         matrices={"m": np.zeros((1, lane_hi - lane_lo))},
-    ).to_npz(result_path)
-    return {}
+    )
+    return result, {}
 
 
-def _exchange_worker_crashing(spec, lane_lo, lane_hi, result_path, exchange):
+def _exchange_worker_crashing(spec, lane_lo, lane_hi, exchange):
     """Shard 0 publishes and waits at the barrier; every other shard
     dies first — the parent must abort the barrier (so shard 0 is not
     stuck until the timeout) and release the shared block."""
@@ -64,14 +59,14 @@ def _exchange_worker_crashing(spec, lane_lo, lane_hi, result_path, exchange):
         exchange.exchange(np.zeros(lane_hi - lane_lo))
     finally:
         exchange.close()
-    return {}
+    return None, {}
 
 
-def _fault_window_worker_crashing(spec, lane_lo, lane_hi, result_path, exchange):
+def _fault_window_worker_crashing(spec, lane_lo, lane_hi, exchange):
     """Every worker commits a host failure at the step-1 barrier, then
     shard 1 dies *inside the fault window* — the parent must still
-    abort the barrier, unlink the shm segment and remove shard files
-    (fault state must not perturb the crash-cleanup path)."""
+    abort the barrier and unlink the shm segment (fault state must not
+    perturb the crash-cleanup path)."""
     from repro.sim.exchange import ShardHostView
     from repro.sim.faults import FaultSchedule, HostFaultEvent
     from repro.sim.hosts import HostMap
@@ -91,7 +86,15 @@ def _fault_window_worker_crashing(spec, lane_lo, lane_hi, result_path, exchange)
         view.apply_step(600.0, workloads)  # blocks until the abort
     finally:
         exchange.close()
-    return {}
+    return None, {}
+
+
+def _shm_segments() -> set[str]:
+    """Names of the demand-exchange segments now in ``/dev/shm``."""
+    shm_dir = Path("/dev/shm")
+    if not shm_dir.is_dir():
+        return set()
+    return {p.name for p in shm_dir.glob(f"{SHM_PREFIX}-*")}
 
 HOURS = 6.0
 
@@ -355,8 +358,8 @@ class TestShardedStudy:
         assert_same_fleet(single, sharded)
 
     def test_worker_processes_match_single_process(self):
-        # The real spawn path: 2 worker processes, each persisting its
-        # shard via to_npz before the parent merges.
+        # The real spawn path: 2 worker processes, each returning its
+        # shard result through the pool before the parent merges.
         single = run_fleet_multiplexing_study(n_lanes=4, hours=3.0,
                                               profiling_slots=4)
         sharded = run_fleet_multiplexing_study(
@@ -373,23 +376,9 @@ class TestShardedStudy:
         assert sharded.learning_runs == single.learning_runs == 2
         assert_same_fleet(single, sharded)
 
-    def test_shard_dir_keeps_npz_files(self, tmp_path):
-        run_fleet_multiplexing_study(
-            n_lanes=4,
-            hours=2.0,
-            shards=2,
-            workers=0,
-            shard_dir=str(tmp_path),
-        )
-        files = sorted(p.name for p in tmp_path.glob("*.npz"))
-        assert files == ["shard_000.npz", "shard_001.npz"]
-        part = FleetResult.from_npz(tmp_path / "shard_000.npz")
-        assert part.n_lanes == 2
-
-    def test_failing_worker_leaves_no_orphan_npz(self, tmp_path):
-        # A mid-sweep worker failure used to strand the completed
-        # shards' .npz files in a caller-provided shard_dir; the sweep
-        # must clean up everything it wrote before re-raising.
+    def test_failing_worker_error_propagates(self):
+        # Shard 0 completes and shard 1 dies: the sweep re-raises the
+        # worker's own error instead of merging a partial fleet.
         with pytest.raises(RuntimeError, match="crashed mid-sweep"):
             run_sharded(
                 _worker_failing_after_first,
@@ -397,9 +386,7 @@ class TestShardedStudy:
                 n_lanes=4,
                 shards=2,
                 workers=0,
-                shard_dir=str(tmp_path),
             )
-        assert list(tmp_path.glob("*.npz")) == []
 
     def test_events_preserve_per_lane_ordering(self):
         sharded = run_fleet_multiplexing_study(
@@ -542,12 +529,11 @@ class TestHostCoupledShards:
                 exchange=ExchangeSpec(),
             )
 
-    def test_crashed_thread_worker_aborts_barrier_and_cleans_up(
-        self, tmp_path
-    ):
+    def test_crashed_thread_worker_aborts_barrier_and_cleans_up(self):
         # Shard 0 is blocked at the barrier when shard 1 dies; the
         # parent must abort the barrier (fast failure, not a timeout)
-        # and remove every shard file.
+        # and unlink the segment its thread shards attached to.
+        before = _shm_segments()
         with pytest.raises(RuntimeError, match="before the barrier"):
             run_sharded(
                 _exchange_worker_crashing,
@@ -555,21 +541,15 @@ class TestHostCoupledShards:
                 n_lanes=4,
                 shards=2,
                 workers=0,
-                shard_dir=str(tmp_path),
                 exchange=ExchangeSpec(),
             )
-        assert list(tmp_path.glob("*.npz")) == []
+        assert _shm_segments() <= before
 
-    def test_crashed_worker_process_unlinks_shared_memory(self, tmp_path):
+    def test_crashed_worker_process_unlinks_shared_memory(self):
         # Same crash through the spawn pool: the parent owns the
         # /dev/shm segment and must unlink it even though the sweep
         # died mid-exchange.
-        shm_dir = Path("/dev/shm")
-        before = (
-            {p.name for p in shm_dir.glob(f"{SHM_PREFIX}-*")}
-            if shm_dir.is_dir()
-            else set()
-        )
+        before = _shm_segments()
         with pytest.raises(RuntimeError, match="before the barrier"):
             run_sharded(
                 _exchange_worker_crashing,
@@ -577,13 +557,9 @@ class TestHostCoupledShards:
                 n_lanes=4,
                 shards=2,
                 workers=2,
-                shard_dir=str(tmp_path),
                 exchange=ExchangeSpec(barrier_timeout_seconds=60.0),
             )
-        assert list(tmp_path.glob("*.npz")) == []
-        if shm_dir.is_dir():
-            after = {p.name for p in shm_dir.glob(f"{SHM_PREFIX}-*")}
-            assert after <= before
+        assert _shm_segments() <= before
 
 
 class TestFaultedShards(TestHostCoupledShards):
@@ -660,7 +636,13 @@ class TestFaultedShards(TestHostCoupledShards):
         # which change placement, must defer to those barriers (pinned
         # here on a directly driven single-shard view; the
         # SYN-host-outage gate scenario exercises the full sweep).
-        from repro.sim.exchange import ShardHostView, make_thread_exchange
+        import threading
+
+        from repro.sim.exchange import (
+            ShardHostView,
+            demand_segment,
+            make_exchange_handles,
+        )
         from repro.sim.hosts import HostMap
 
         host_map = HostMap.spread(
@@ -675,28 +657,31 @@ class TestFaultedShards(TestHostCoupledShards):
                 )
             )
         )
-        handle = make_thread_exchange(
-            4, [range(0, 4)], ExchangeSpec(exchange_every=3)
-        )[0]
-        view = ShardHostView(host_map, 0, 4, handle)
         workloads = [_StubWorkload(v) for v in (2.0, 1.0, 2.0, 1.0)]
-        for step in range(90):
-            view.apply_step(step * 300.0, workloads)
+        with demand_segment(4) as shm_name:
+            handle = make_exchange_handles(
+                4,
+                [range(0, 4)],
+                ExchangeSpec(exchange_every=3),
+                threading.Barrier(1),
+                shm_name,
+            )[0]
+            view = ShardHostView(host_map, 0, 4, handle)
+            try:
+                for step in range(90):
+                    view.apply_step(step * 300.0, workloads)
+            finally:
+                handle.close()
         # Every event committed, one barrier after its scripted step.
         assert host_map.fault_commit_steps == [27, 33, 51, 54]
         assert host_map.host_failures == 2
         assert all(s % 3 == 0 for s in host_map.migration_commit_steps)
 
-    def test_crash_inside_a_fault_window_still_cleans_up(self, tmp_path):
+    def test_crash_inside_a_fault_window_still_cleans_up(self):
         # The overlap case: a worker process dies while a host is down.
         # The parent's abort-and-unlink path must be indifferent to the
-        # fault state — no orphan npz, no leaked /dev/shm segment.
-        shm_dir = Path("/dev/shm")
-        before = (
-            {p.name for p in shm_dir.glob(f"{SHM_PREFIX}-*")}
-            if shm_dir.is_dir()
-            else set()
-        )
+        # fault state — no leaked /dev/shm segment.
+        before = _shm_segments()
         with pytest.raises(RuntimeError, match="inside the fault window"):
             run_sharded(
                 _fault_window_worker_crashing,
@@ -704,10 +689,6 @@ class TestFaultedShards(TestHostCoupledShards):
                 n_lanes=4,
                 shards=2,
                 workers=2,
-                shard_dir=str(tmp_path),
                 exchange=ExchangeSpec(barrier_timeout_seconds=60.0),
             )
-        assert list(tmp_path.glob("*.npz")) == []
-        if shm_dir.is_dir():
-            after = {p.name for p in shm_dir.glob(f"{SHM_PREFIX}-*")}
-            assert after <= before
+        assert _shm_segments() <= before

@@ -12,7 +12,7 @@ none of it is visible:
   retries, backoff and degraded fallback, auto-relearn staging, host
   faults under ``+consolidate`` migration — gives bit-identical results
   when every lane is forced awake and re-read every step (single
-  process and two inline shards).  This is also the only pin on the
+  process and two thread shards).  This is also the only pin on the
   batched path's behaviour on a *contended* queue, where scalar and
   batched mode are documented to differ;
 * the hour cache still fails loudly past the end of a trace, and a

@@ -2,14 +2,16 @@
 
 The invariant under test: for *any* placement, shard cut and lane
 count, stepping every shard's :class:`ShardHostView` concurrently
-(thread-mode exchange — the same ``DemandExchange.exchange`` code the
-spawn workers run) produces exactly the per-host demand totals, theft
+(threads on one shared-memory block — the same ``DemandExchange``
+handles the spawn workers run) produces exactly the per-host demand totals, theft
 vectors and host statistics of a single-process :class:`HostMap` fed
 the same workloads.  Exact equality, not allclose: every worker runs
 the identical vectorized arithmetic over the identical global vector.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from repro.sim.exchange import (
     DemandExchange,
     ExchangeSpec,
     ShardHostView,
-    make_thread_exchange,
+    demand_segment,
+    make_exchange_handles,
 )
 from repro.sim.hosts import HostMap, SimHost, allocation_demand
 from repro.sim.shard import partition_lanes
@@ -53,22 +56,32 @@ def random_coupling(rng):
     return n_lanes, shards, hosts, placement
 
 
+@contextmanager
+def exchange_handles(n_lanes, shards):
+    """Thread handles on one fresh shared-memory block, one per shard."""
+    ranges = partition_lanes(n_lanes, shards)
+    with demand_segment(n_lanes) as shm_name:
+        handles = make_exchange_handles(
+            n_lanes, ranges, ExchangeSpec(), threading.Barrier(shards),
+            shm_name,
+        )
+        try:
+            yield handles
+        finally:
+            for handle in handles:
+                handle.close()
+
+
 def run_sharded_steps(
     n_lanes, shards, hosts, placement, steps_workloads, demand_fn=None,
     capacities=None,
 ):
-    """Step every shard's view concurrently; thefts in shard order."""
+    """Step every shard's view concurrently.
+
+    Returns the thefts in shard order, the views, and a copy of the
+    shared block as the final step left it.
+    """
     ranges = partition_lanes(n_lanes, shards)
-    handles = make_thread_exchange(n_lanes, ranges, ExchangeSpec())
-    views = [
-        ShardHostView(
-            HostMap(hosts, placement, demand_fn=demand_fn),
-            lanes.start,
-            lanes.stop,
-            handle,
-        )
-        for lanes, handle in zip(ranges, handles)
-    ]
 
     def drive(view, lanes):
         thefts = []
@@ -89,13 +102,24 @@ def run_sharded_steps(
             )
         return thefts
 
-    with ThreadPoolExecutor(max_workers=shards) as pool:
-        futures = [
-            pool.submit(drive, view, lanes)
-            for view, lanes in zip(views, ranges)
+    with exchange_handles(n_lanes, shards) as handles:
+        views = [
+            ShardHostView(
+                HostMap(hosts, placement, demand_fn=demand_fn),
+                lanes.start,
+                lanes.stop,
+                handle,
+            )
+            for lanes, handle in zip(ranges, handles)
         ]
-        results = [future.result() for future in futures]
-    return results, views
+        with ThreadPoolExecutor(max_workers=shards) as pool:
+            futures = [
+                pool.submit(drive, view, lanes)
+                for view, lanes in zip(views, ranges)
+            ]
+            results = [future.result() for future in futures]
+        block = handles[0].block.copy()
+    return results, views, block
 
 
 class TestExchangeMatchesSingleProcess:
@@ -111,7 +135,7 @@ class TestExchangeMatchesSingleProcess:
             for step, workloads in enumerate(steps_workloads)
         ]
 
-        results, views = run_sharded_steps(
+        results, views, block = run_sharded_steps(
             n_lanes, shards, hosts, placement, steps_workloads
         )
 
@@ -127,14 +151,13 @@ class TestExchangeMatchesSingleProcess:
 
         # Every worker's global map accumulated the same statistics.
         for view in views:
-            assert view.mean_theft == reference.mean_theft
-            assert view.peak_theft == reference.peak_theft
-            assert view.overload_fraction == reference.overload_fraction
+            assert view.map.mean_theft == reference.mean_theft
+            assert view.map.peak_theft == reference.peak_theft
+            assert view.map.overload_fraction == reference.overload_fraction
 
         # Per-host totals from the shared block equal np.bincount over
         # the single-process demand vector (the block still holds the
         # final step's exchanged demands).
-        block = views[0].exchange_handle.block
         ref_demands = reference._demands(
             STEP_SECONDS * (len(steps_workloads) - 1),
             steps_workloads[-1],
@@ -172,7 +195,7 @@ class TestExchangeMatchesSingleProcess:
             for step, workloads in enumerate(steps_workloads)
         ]
 
-        results, _views = run_sharded_steps(
+        results, _views, _block = run_sharded_steps(
             n_lanes,
             shards,
             hosts,
@@ -198,66 +221,36 @@ class TestValidation:
             ExchangeSpec(barrier_timeout_seconds=0.0)
 
     def test_handle_rejects_bad_slice(self):
-        block = np.zeros(4)
         with pytest.raises(ValueError, match="slice"):
-            DemandExchange(4, 2, 2, barrier=None, block=block)
+            DemandExchange(4, 2, 2, barrier=None, shm_name="x")
         with pytest.raises(ValueError, match="slice"):
-            DemandExchange(4, 0, 5, barrier=None, block=block)
-
-    def test_handle_needs_exactly_one_backing(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            DemandExchange(4, 0, 2, barrier=None)
-        with pytest.raises(ValueError, match="exactly one"):
-            DemandExchange(
-                4, 0, 2, barrier=None, shm_name="x", block=np.zeros(4)
-            )
-
-    def test_handle_rejects_mis_sized_block(self):
-        with pytest.raises(ValueError, match="block"):
-            DemandExchange(4, 0, 2, barrier=None, block=np.zeros(3))
+            DemandExchange(4, 0, 5, barrier=None, shm_name="x")
 
     def test_exchange_rejects_wrong_slice_length(self):
-        handles = make_thread_exchange(
-            4, partition_lanes(4, 2), ExchangeSpec()
-        )
-        with pytest.raises(ValueError, match="local demands"):
-            handles[0].exchange(np.zeros(3))
-
-    def test_thread_handle_refuses_to_pickle(self):
-        import pickle
-
-        handles = make_thread_exchange(
-            4, partition_lanes(4, 2), ExchangeSpec()
-        )
-        with pytest.raises(TypeError, match="process boundary"):
-            pickle.dumps(handles[0])
+        with exchange_handles(4, 2) as handles:
+            with pytest.raises(ValueError, match="local demands"):
+                handles[0].exchange(np.zeros(3))
 
     def test_view_rejects_custom_demand_fn(self):
-        handles = make_thread_exchange(
-            4, partition_lanes(4, 2), ExchangeSpec()
-        )
         custom = HostMap(
             [SimHost(4.0)],
             [0, 0, 0, 0],
             demand_fn=lambda workload: workload.demand_units,
         )
-        with pytest.raises(ValueError, match="demand_fn"):
-            ShardHostView(custom, 0, 2, handles[0])
+        with exchange_handles(4, 2) as handles:
+            with pytest.raises(ValueError, match="demand_fn"):
+                ShardHostView(custom, 0, 2, handles[0])
 
     def test_view_rejects_mismatched_exchange_geometry(self):
-        handles = make_thread_exchange(
-            4, partition_lanes(4, 2), ExchangeSpec()
-        )
         host_map = HostMap([SimHost(4.0)], [0, 0, 0, 0])
-        with pytest.raises(ValueError, match="exchange covers"):
-            ShardHostView(host_map, 0, 3, handles[0])
+        with exchange_handles(4, 2) as handles:
+            with pytest.raises(ValueError, match="exchange covers"):
+                ShardHostView(host_map, 0, 3, handles[0])
 
     def test_view_feed_is_the_global_lanes_feed(self):
-        handles = make_thread_exchange(
-            4, partition_lanes(4, 2), ExchangeSpec()
-        )
         host_map = HostMap([SimHost(4.0)], [0, 0, 0, 0])
-        view = ShardHostView(host_map, 2, 4, handles[1])
+        with exchange_handles(4, 2) as handles:
+            view = ShardHostView(host_map, 2, 4, handles[1])
         assert view.n_lanes == 2
         assert view.feed(0) is host_map.feed(2)
         assert view.feed(1) is host_map.feed(3)

@@ -154,12 +154,27 @@ class TestSchemaValidation:
                 {"n_lanes": 2, "placement_demand": "forecast"},
                 "placement_demand",
             ),
+            ({"n_lanes": "x"}, "n_lanes"),
+            ({"n_lanes": 2, "hours": "long"}, "hours"),
+            ({"n_lanes": 2, "shards": "two"}, "shards"),
+            (
+                {"n_lanes": 4, "n_hosts": 2, "shards": 2, "workers": 1},
+                "workers.*deadlock",
+            ),
+            ({"n_lanes": 4, "shards": 2, "workers": -1}, "workers"),
         ],
     )
     def test_study_rule_violations_rejected_at_load(self, fleet, key):
         # What the study would reject at run time fails at load time.
         with pytest.raises(ScenarioError, match=key):
             parse_scenario(tiny(fleet=fleet))
+
+    def test_workers_on_one_shard_stay_legal(self):
+        # The CI scenario job passes --workers 0 to unsharded documents.
+        for workers in (0, 4):
+            parse_scenario(
+                tiny(fleet={"n_lanes": 2, "n_hosts": 1, "workers": workers})
+            )
 
     def test_sweep_values_validated_through_the_study_spec(self):
         doc = tiny(

@@ -132,7 +132,14 @@ class TestFleetEngineStepping:
             assert [c.day for c in lane.controller.contexts] == [1, 1, 1]
 
     def test_buffer_growth_beyond_initial_capacity(self):
-        # _RowBuffer starts at 256 rows; 300 steps forces a regrowth.
+        # The engine sizes its buffers for the whole run; a buffer that
+        # still runs out regrows without losing rows.
+        from repro.sim.fleet import _RowBuffer
+
+        buffer = _RowBuffer(2, capacity=1)
+        for step in range(3):
+            buffer.append(np.array([step, 10.0 * step]))
+        assert buffer.array.tolist() == [[0, 0], [1, 10], [2, 20]]
         result = FleetEngine([make_lane(3.0)], step_seconds=1.0).run(300.0)
         assert result.n_steps == 300
         assert float(result.matrix("metric").sum()) == 900.0
