@@ -285,6 +285,7 @@ class DejaVuManager:
         self._pending_grant: ProfilingGrant | None = None
         self._batch_classifier: BatchClassifier | None = None
         self._schema_columns: np.ndarray | None = None
+        self._group_key: tuple | None = None
         # Relearn gating: a re-learned model computed while its learning
         # sweep is still queued is *staged* — the old model keeps
         # serving until the burst's last grant finishes.
@@ -587,9 +588,12 @@ class DejaVuManager:
 
         The batched fleet engine calls this on steps where it bypasses
         :meth:`on_step` (it runs the periodic check itself): land any
-        due queue-delayed deployment, swap in a staged re-learned model
-        once its sweep drains, and keep routine re-signature traffic
-        flowing.
+        due queue-delayed deployment, notice a revoked or evicted
+        grant, swap in a staged re-learned model once its sweep drains,
+        and keep routine re-signature traffic flowing.  The engine
+        calls it only once :meth:`batch_wake_at` has come or the queue
+        reported that the pending deployment's grant moved; on any
+        other step it would be a no-op.
         """
         self._poll_staged_model(t)
         if self.pending_deployment is not None:
@@ -1038,17 +1042,36 @@ class DejaVuManager:
 
         Until then :meth:`adaptation_due` is False and
         :meth:`poll_pending_deployment` is a no-op, so the engine may
-        skip both: the value is the next periodic check or the next
-        routine re-signature, whichever is earlier, compared with the
-        same ``t + 1e-9`` tolerance those use.  A queue-delayed
-        deployment or a staged re-learned model can land on any step
-        (the queue may revise, revoke or evict its grants), so either
-        keeps the manager awake (``-inf``).  The state read here
-        changes only inside this manager's own engine-driven calls.
+        skip both.  The value is the earliest of the next periodic
+        check, the next routine re-signature and a queue-delayed
+        deployment's due time, compared with the same ``t + 1e-9``
+        tolerance those use.  The due time is the deployment's
+        ``apply_at``, its grant's ``start_at`` once the queue revised
+        it, or ``retry_at`` once a revocation has been noticed; a
+        revoked grant not yet noticed (or whose retry was turned away)
+        and an evicted grant are due at once (``-inf``), as is a staged
+        re-learned model.  This manager's state changes only inside its
+        own engine-driven calls; its pending grant can also change
+        inside the queue, which reports every such change to the
+        engine (:attr:`~repro.sim.fleet.ProfilingQueue.listener`) so
+        the lane is visited again.
         """
-        if self.pending_deployment is not None or self._staged_model is not None:
+        if self._staged_model is not None:
             return -math.inf
-        return min(self._next_check, self._next_resignature)
+        wake = min(self._next_check, self._next_resignature)
+        pending = self.pending_deployment
+        if pending is None:
+            return wake
+        grant = pending.grant
+        if grant is None:
+            due = pending.apply_at
+        elif grant.outcome == "revoked":
+            due = -math.inf if pending.retry_at is None else pending.retry_at
+        elif grant.outcome == "evicted":
+            due = -math.inf
+        else:
+            due = grant.start_at if grant.revised else pending.apply_at
+        return min(wake, due)
 
     def batch_group_key(self) -> tuple | None:
         """Identity of the trained state this manager classifies with.
@@ -1058,17 +1081,32 @@ class DejaVuManager:
         the fleet engine may classify their signatures as one matrix
         and resolve their lookups in one batch.  Re-learning replaces
         the classifier/clustering objects, so a re-learned manager
-        falls out of its old group automatically.
+        falls out of its old group automatically.  The key is built
+        once per (classifier, clustering, repository, config) and reused
+        while all four are the same objects.
         """
         if not self.is_trained:
             return None
-        return (
+        cached = self._group_key
+        if (
+            cached is not None
+            and cached[0] is self.classifier
+            and cached[1] is self.clustering
+            and cached[2] is self.repository
+            and cached[3] is self.config
+        ):
+            return cached[4]
+        key = (
             id(self.classifier),
             id(self.clustering),
             id(self.repository),
             self.config.novelty_radius_factor,
             self.config.novelty_certainty,
         )
+        self._group_key = (
+            self.classifier, self.clustering, self.repository, self.config, key
+        )
+        return key
 
     def batch_classifier(self) -> BatchClassifier:
         """The cached vectorized classify path over this trained model."""

@@ -15,6 +15,7 @@ substrates together with the calibration DESIGN.md documents:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.core.tuner import (
 )
 from repro.interference.injector import InterferenceInjector, InterferenceSchedule
 from repro.services.base import Service
-from repro.services.cassandra import CassandraService
+from repro.services.cassandra import CassandraService, repartition_penalty
 from repro.services.specweb import SpecWebService
 from repro.telemetry.counters import HPCSampler
 from repro.telemetry.monitor import Monitor
@@ -441,7 +442,11 @@ class _FleetFamilyObserver:
         lanes when some have nothing serving."""
         return self._model.latency_rows(rho)
 
+    def _allocations_changed(self, changed: np.ndarray) -> None:
+        """Hook: the lanes at ``changed`` may have new allocations."""
+
     def fill_rows(self, t: float, workloads, out, capacities, changed) -> None:
+        self._allocations_changed(changed)
         demands = self._demands
         if workloads is not self._workloads:
             self._workloads = workloads
@@ -491,33 +496,61 @@ class _FleetFamilyObserver:
 class ScaleoutFleetObserver(_FleetFamilyObserver):
     """Vectorized counterpart of :func:`observe_scaleout` (Cassandra).
 
-    The per-lane re-partitioning transient stays scalar — each service
-    instance's ``repartition_penalty_ms`` uses ``math.exp``, which is
-    not bit-reproducible by ``np.exp`` — and is added to the vectorized
-    queueing latency exactly as
-    :meth:`~repro.services.cassandra.CassandraService._latency_ms` does.
+    The re-partitioning transient stays scalar — ``math.exp`` is not
+    bit-reproducible by ``np.exp`` — but is evaluated once per distinct
+    resize time per step, through the same
+    :func:`~repro.services.cassandra.repartition_penalty` each service
+    instance uses, and added to the vectorized queueing latency exactly
+    as :meth:`~repro.services.cassandra.CassandraService._latency_ms`
+    does.  Each lane's last resize time is re-read only at the
+    positions whose allocation changed.
     """
 
     names = ("latency_ms", "qos_percent", "instances", "hourly_cost", "load")
 
     def __init__(self, setups) -> None:
         super().__init__(setups)
-        self._penalties = np.zeros(len(self._services))
+        # One transient curve for the family, like the scale-up QoS
+        # curve (peak and tau are per-instance state).
+        first = self._services[0]
+        self._transient = (first._peak_ms, first._tau)
+        for service in self._services:
+            if (service._peak_ms, service._tau) != self._transient:
+                raise ValueError(
+                    "scale-out family lanes must share one "
+                    "re-partitioning transient"
+                )
+        # Last resize time per lane; +inf until the first resize, which
+        # the penalty's `elapsed < 0` case maps to 0 like None.  Its
+        # distinct values (and each lane's position among them) are
+        # kept until a lane resizes again.
+        self._resized_at = np.full(len(self._services), math.inf)
+        self._resize_times: tuple[list[float], np.ndarray] | None = None
 
     def _series_value(self, allocation) -> float:
         return float(allocation.count)
 
+    def _allocations_changed(self, changed: np.ndarray) -> None:
+        if not changed.size:
+            return
+        resized_at = self._resized_at
+        for j in changed.tolist():
+            last = self._services[j].last_resize_at
+            resized_at[j] = math.inf if last is None else last
+        self._resize_times = None
+
     def _latency_rows(self, t: float, rho, indices) -> np.ndarray:
         base = self._model.latency_rows(rho)
-        services = self._services
-        if indices is None:
-            penalties = self._penalties
-            for j, service in enumerate(services):
-                penalties[j] = service.repartition_penalty_ms(t)
-        else:
-            penalties = np.array(
-                [services[j].repartition_penalty_ms(t) for j in indices]
-            )
+        if self._resize_times is None:
+            times, inverse = np.unique(self._resized_at, return_inverse=True)
+            self._resize_times = (times.tolist(), inverse)
+        times, inverse = self._resize_times
+        peak, tau = self._transient
+        penalties = np.array(
+            [repartition_penalty(peak, tau, t, resize) for resize in times]
+        )[inverse]
+        if indices is not None:
+            penalties = penalties[indices]
         return np.minimum(base + penalties, self._model.max_latency_ms)
 
 

@@ -25,6 +25,22 @@ from repro.workloads.request_mix import Workload
 DEFAULT_SLO = LatencySLO(bound_ms=60.0)
 
 
+def repartition_penalty(
+    peak_ms: float,
+    tau_seconds: float,
+    now: float | None,
+    resized_at: float | None,
+) -> float:
+    """Re-partitioning latency at ``now`` after a resize at
+    ``resized_at`` (0 before any resize, or before the resize itself)."""
+    if now is None or resized_at is None:
+        return 0.0
+    elapsed = now - resized_at
+    if elapsed < 0:
+        return 0.0
+    return peak_ms * math.exp(-elapsed / tau_seconds)
+
+
 class CassandraService(Service):
     """Cassandra with a post-resize re-partitioning transient.
 
@@ -58,14 +74,16 @@ class CassandraService(Service):
         """Record the resize; ranges start re-balancing now."""
         self._last_resize_at = now
 
+    @property
+    def last_resize_at(self) -> float | None:
+        """Time of the latest resize, or None if never resized."""
+        return self._last_resize_at
+
     def repartition_penalty_ms(self, now: float | None) -> float:
         """Current re-partitioning latency penalty."""
-        if now is None or self._last_resize_at is None:
-            return 0.0
-        elapsed = now - self._last_resize_at
-        if elapsed < 0:
-            return 0.0
-        return self._peak_ms * math.exp(-elapsed / self._tau)
+        return repartition_penalty(
+            self._peak_ms, self._tau, now, self._last_resize_at
+        )
 
     def _latency_ms(
         self,

@@ -46,6 +46,7 @@ fleet, so every existing experiment exercises this code path.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
@@ -208,6 +209,18 @@ class ProfilingQueue:
         rejected.  ``bounded=False`` bursts are never shed, rejected
         or evicted, but their (low) priority still lets later high
         bidders overtake their unstarted remainder.
+
+    A grant's schedule can change after it is issued: a priority
+    re-projection moves it (``revised``), a higher bidder evicts it, or
+    a profiler outage revokes it.  Each such change is reported to
+    :attr:`listener` (one callable taking the grant, or None), which
+    the fleet engine sets for the length of a run so a lane sleeping
+    on a queue-delayed deployment wakes when its grant moves.
+
+    FIFO admission keeps each slot's outstanding count for the time of
+    the latest request, so a request at that time re-reads only the
+    slot it granted: ``max_depth`` and ``pending_at`` cost O(1) per
+    grant instead of a pass over every slot.
     """
 
     def __init__(
@@ -275,9 +288,24 @@ class ProfilingQueue:
         # explicit (arrival order); fifo folds it into _slot_free.
         self._pending: list[ProfilingGrant] = []
         self._shedding = False
+        # FIFO: every slot's outstanding count at time _counts_at, with
+        # their sum (depth) and the not-yet-started part (queued).
+        # NaN forces a full recount at the next request or query.
+        self._counts_at = math.nan
+        self._counts = [0] * slots
+        self._depth = 0
+        self._queued = 0
+        self.listener: Callable[[ProfilingGrant], None] | None = None
 
-    def _outstanding_per_slot(self, t: float) -> list[int]:
-        """Unfinished requests stacked on each slot at time ``t``.
+    def _report(self, grant: ProfilingGrant) -> None:
+        """Tell the listener an issued grant was revised, evicted or
+        revoked."""
+        if self.listener is not None:
+            self.listener(grant)
+
+    def _outstanding(self, free: float, t: float) -> int:
+        """Unfinished requests stacked at time ``t`` on a slot that
+        frees at ``free``.
 
         Accepted requests occupy a slot back-to-back for exactly
         ``service_seconds`` each, so a slot freeing at ``F`` still owes
@@ -289,33 +317,41 @@ class ProfilingQueue:
         seconds dwarfs any absolute 1e-12 and would overcount
         ``pending_at`` into spurious bounded-queue rejections.
         """
+        if free <= t:
+            return 0
         service = self.service_seconds
         eps = 2.220446049250313e-16  # float ulp at 1.0
-        out = []
-        for free in self._slot_free:
-            if free <= t:
-                out.append(0)
-                continue
-            tol = max(1e-12, 4.0 * eps * max(abs(t), abs(free)) / service)
-            out.append(max(1, math.ceil((free - t) / service - tol)))
-        return out
+        tol = max(1e-12, 4.0 * eps * max(abs(t), abs(free)) / service)
+        return max(1, math.ceil((free - t) / service - tol))
+
+    def _outstanding_per_slot(self, t: float) -> list[int]:
+        """:meth:`_outstanding` of every slot at time ``t``."""
+        return [self._outstanding(free, t) for free in self._slot_free]
+
+    def _count_at(self, t: float) -> None:
+        """Bring the FIFO slot counts to time ``t`` (a full recount,
+        unless they are already for ``t``)."""
+        if t == self._counts_at:
+            return
+        counts = self._counts = self._outstanding_per_slot(t)
+        self._counts_at = t
+        self._depth = sum(counts)
+        self._queued = sum(c - 1 for c in counts if c > 1)
 
     def pending_at(self, t: float) -> int:
         """Requests granted but not yet *started* at time ``t``."""
         if self.queue_policy == "priority":
             return self._virtual_state(t)[1]
-        return sum(
-            outstanding - 1
-            for outstanding in self._outstanding_per_slot(t)
-            if outstanding > 1
-        )
+        self._count_at(t)
+        return self._queued
 
     def depth_at(self, t: float) -> int:
         """Requests queued or in service at time ``t``."""
         if self.queue_policy == "priority":
             sim, queued = self._virtual_state(t)
             return sum(1 for free in sim if free > t) + queued
-        return sum(self._outstanding_per_slot(t))
+        self._count_at(t)
+        return self._depth
 
     def request(
         self,
@@ -349,11 +385,12 @@ class ProfilingQueue:
         slot = min(range(self.slots), key=slot_free.__getitem__)
         free = slot_free[slot]
         would_wait = free > t
+        self._count_at(t)
         if (
             bounded
             and self.max_pending is not None
             and would_wait
-            and self.pending_at(t) >= self.max_pending
+            and self._queued >= self.max_pending
         ):
             self.rejected += 1
             grant = ProfilingGrant(
@@ -370,9 +407,13 @@ class ProfilingQueue:
         finish = start + self.service_seconds
         slot_free[slot] = finish
         self.busy_seconds += self.service_seconds
-        depth = self.depth_at(t)
-        if depth > self.max_depth:
-            self.max_depth = depth
+        # Only the granted slot's count changed.
+        before = self._counts[slot]
+        after = self._counts[slot] = self._outstanding(finish, t)
+        self._depth += after - before
+        self._queued += max(after - 1, 0) - max(before - 1, 0)
+        if self._depth > self.max_depth:
+            self.max_depth = self._depth
         grant = ProfilingGrant(
             requested_at=t,
             start_at=start,
@@ -505,13 +546,15 @@ class ProfilingQueue:
             # A freshly admitted grant still carries its placeholder
             # (finish == requested): its first projection is the issued
             # schedule, not a revision.
-            if (
+            moved = (
                 grant.start_at != start
                 and grant.finish_at > grant.requested_at
-            ):
-                grant.revised = True
+            )
             grant.start_at = start
             grant.finish_at = start + service
+            if moved:
+                grant.revised = True
+                self._report(grant)
 
     def _virtual_state(self, t: float) -> tuple[list[float], int]:
         """Slot-free times and un-started backlog at ``t``, without
@@ -549,6 +592,7 @@ class ProfilingQueue:
         self.evicted += 1
         # The admission charge is refunded: the run never happens.
         self.busy_seconds -= self.service_seconds
+        self._report(grant)
         self._project()
 
     def _update_shedding(self) -> None:
@@ -637,6 +681,7 @@ class ProfilingQueue:
                     # The run was killed: refund the charge, like an
                     # eviction (partial progress is not billed).
                     self.busy_seconds -= self.service_seconds
+                    self._report(grant)
             for slot in range(self.slots):
                 self._slot_free[slot] = end_t
         else:
@@ -645,6 +690,7 @@ class ProfilingQueue:
             )
             for slot in order[:affected]:
                 self._slot_free[slot] = max(self._slot_free[slot], end_t)
+        self._counts_at = math.nan
         if self.queue_policy == "priority":
             self._project()
 
@@ -1009,6 +1055,7 @@ _BATCH_ADAPT_PROTOCOL = (
     "complete_batched_adapt",
     "poll_pending_deployment",
     "batch_wake_at",
+    "pending_deployment",
 )
 
 
@@ -1132,6 +1179,15 @@ class FleetEngine:
         # does not batch keeps its old (past) value, so it is visited —
         # and re-checked — every step.  Non-candidates never wake.
         self._wake = np.full(n_lanes, math.inf)
+        # The queue grant each lane's pending deployment waits on, and
+        # its inverse (id(grant) -> lane): when the queue moves a grant
+        # (_grant_moved), the lane waiting on it wakes.
+        self._lane_grants: list[ProfilingGrant | None] = [None] * n_lanes
+        self._grant_lanes: dict[int, int] = {}
+        # The wave's visiting order while it polls (lane indices,
+        # ascending) and the lane being visited; None between waves.
+        self._visit: list[int] | None = None
+        self._cursor = -1
         # lane index -> the controller's profiling monitor (fixed at
         # construction, like the candidate set itself); None when a
         # protocol-compliant controller carries no profiler, in which
@@ -1216,6 +1272,39 @@ class FleetEngine:
                 continue
             self._capacity_dirty[j] = True
             provider.subscribe_capacity_changes(self._capacity_invalidator(j))
+
+    def _sleep(self, lane: int) -> None:
+        """Refresh ``lane``'s wake time after a wave call on it, and
+        the grant whose move must wake it early."""
+        controller = self.controllers[lane]
+        self._wake[lane] = controller.batch_wake_at()
+        pending = controller.pending_deployment
+        grant = None if pending is None else pending.grant
+        held = self._lane_grants[lane]
+        if grant is held:
+            return
+        if held is not None:
+            del self._grant_lanes[id(held)]
+        if grant is not None:
+            self._grant_lanes[id(grant)] = lane
+        self._lane_grants[lane] = grant
+
+    def _grant_moved(self, grant: ProfilingGrant) -> None:
+        """Queue listener: wake the lane waiting on ``grant``.
+
+        A lane after the one being visited joins this wave's visiting
+        order, which is where polling every lane every step would have
+        seen the move; any other lane is visited on the next step.
+        """
+        lane = self._grant_lanes.get(id(grant))
+        if lane is None:
+            return
+        self._wake[lane] = -math.inf
+        visit = self._visit
+        if visit is not None and lane > self._cursor:
+            position = bisect_left(visit, lane)
+            if position == len(visit) or visit[position] != lane:
+                visit.insert(position, lane)
 
     def _capacity_invalidator(self, lane: int):
         dirty = self._capacity_dirty
@@ -1388,6 +1477,8 @@ class FleetEngine:
         ``poll_pending_deployment`` a no-op, so skipping both changes
         nothing — not even the order of queue requests.  Every visited
         lane's wake time is refreshed after the wave's last call on it.
+        A lane whose queue grant moves while it sleeps is woken by the
+        queue (:meth:`_grant_moved`).
 
         Returns a lane mask of what the wave took responsibility for
         this step — due lanes (adapted, or deferred by queue rejection
@@ -1398,10 +1489,15 @@ class FleetEngine:
         inline.  The engine skips ``on_step`` for all of them.
         """
         controllers = self.controllers
-        wake = self._wake
         handled = self._batch_mask.copy()
         due: list[tuple[int, StepContext]] = []
-        for i in np.flatnonzero(wake <= t + 1e-9).tolist():
+        # A poll may charge the queue and so move a later lane's grant;
+        # _grant_moved then inserts that lane into `visit`.
+        visit = self._visit = np.flatnonzero(self._wake <= t + 1e-9).tolist()
+        k = 0
+        while k < len(visit):
+            i = self._cursor = visit[k]
+            k += 1
             controller = controllers[i]
             if not controller.supports_batched_adapt:
                 handled[i] = False
@@ -1421,7 +1517,8 @@ class FleetEngine:
                 # model once its sweep drains, keep routine re-signature
                 # traffic flowing.
                 controller.poll_pending_deployment(t)
-                wake[i] = controller.batch_wake_at()
+                self._sleep(i)
+        self._visit = None
         if not due:
             return handled
         # Phase 1a — gate every due lane in lane order: the queue sees
@@ -1453,7 +1550,7 @@ class FleetEngine:
                     ctx, label, certainty, entry
                 )
         for i, _ctx in due:
-            wake[i] = controllers[i].batch_wake_at()
+            self._sleep(i)
         return handled
 
     def _collect_wave_signatures(
@@ -1660,6 +1757,10 @@ class FleetEngine:
         # Every candidate is visited on the first step; the wave then
         # refreshes each visited lane's wake time from its manager.
         self._wake[self._batch_mask] = -math.inf
+        self._lane_grants = [None] * n_lanes
+        self._grant_lanes = {}
+        if self.profiling_queue is not None and self.batched:
+            self.profiling_queue.listener = self._grant_moved
         lanes = self._lanes
         controllers = self.controllers
         workloads: list[Workload] = [None] * n_lanes  # type: ignore[list-item]
@@ -1798,6 +1899,8 @@ class FleetEngine:
                 finalize = getattr(observer, "finalize", None)
                 if finalize is not None:
                     finalize(times[-1])
+        if self.profiling_queue is not None and self.batched:
+            self.profiling_queue.listener = None
         matrices, series_lanes = self._assemble_matrices(groups)
         return FleetResult(
             label=self._label,

@@ -1,5 +1,7 @@
 """Additional property-based tests on the newer components."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from repro.core.cost_aware_tuner import KingfisherTuner, TransitionCost
 from repro.interference.probe_selection import select_probe_instance
 from repro.services.batch import BatchHost, BatchTask, BatchWorkloadAdvisor
 from repro.services.cassandra import CassandraService
+from repro.sim.fleet import ProfilingQueue
 from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
 from repro.workloads.traces import DaySchedule
 
@@ -146,3 +149,107 @@ class TestKingfisherProperties:
             Allocation(count=target, itype=LARGE),
         )
         assert charged >= 0.0
+
+
+class ReferenceFifoQueue:
+    """FIFO admission recounting every slot on every query: the
+    bookkeeping :class:`ProfilingQueue` replaced with per-slot counts."""
+
+    def __init__(self, slots: int, service: float, max_pending) -> None:
+        self.slot_free = [0.0] * slots
+        self.service = service
+        self.max_pending = max_pending
+        self.max_depth = 0
+        self.rejected = 0
+
+    def outstanding(self, t: float) -> list[int]:
+        eps = 2.220446049250313e-16
+        out = []
+        for free in self.slot_free:
+            if free <= t:
+                out.append(0)
+                continue
+            tol = max(1e-12, 4.0 * eps * max(abs(t), abs(free)) / self.service)
+            out.append(max(1, math.ceil((free - t) / self.service - tol)))
+        return out
+
+    def pending_at(self, t: float) -> int:
+        return sum(c - 1 for c in self.outstanding(t) if c > 1)
+
+    def depth_at(self, t: float) -> int:
+        return sum(self.outstanding(t))
+
+    def request(self, t: float, bounded: bool) -> tuple:
+        slot = min(range(len(self.slot_free)), key=self.slot_free.__getitem__)
+        free = self.slot_free[slot]
+        would_wait = free > t
+        if (
+            bounded
+            and self.max_pending is not None
+            and would_wait
+            and self.pending_at(t) >= self.max_pending
+        ):
+            self.rejected += 1
+            return (t, t, t, "rejected")
+        start = free if would_wait else t
+        self.slot_free[slot] = start + self.service
+        self.max_depth = max(self.max_depth, self.depth_at(t))
+        return (t, start, start + self.service, "accepted")
+
+
+@st.composite
+def fifo_runs(draw):
+    """Queue shape plus (time, bounded, probe offset) requests at
+    non-decreasing times: runs of equal times, service multiples, and
+    clocks near 1e9 s where subtraction loses ulps."""
+    slots = draw(st.integers(min_value=1, max_value=8))
+    service = draw(
+        st.sampled_from([0.1, 1.0, 10.0, 30.0])
+        | st.floats(min_value=0.01, max_value=1000.0)
+    )
+    max_pending = draw(st.none() | st.integers(min_value=0, max_value=4))
+    t = draw(
+        st.sampled_from([0.0, 1.0e9, 1.0e9 + 0.25])
+        | st.floats(min_value=0.0, max_value=2.0e9)
+    )
+    gaps = st.sampled_from([0.0, 0.0, service, 0.5 * service, 2.0 * service]) | (
+        st.floats(min_value=0.0, max_value=3.0 * service)
+    )
+    requests = []
+    for gap, bounded, probe in draw(
+        st.lists(
+            st.tuples(gaps, st.booleans(), st.none() | gaps),
+            min_size=1,
+            max_size=60,
+        )
+    ):
+        t += gap
+        requests.append((t, bounded, probe))
+    return slots, service, max_pending, requests
+
+
+class TestFifoQueueBookkeeping:
+    @given(run=fifo_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_full_recount(self, run):
+        slots, service, max_pending, requests = run
+        queue = ProfilingQueue(
+            slots=slots, service_seconds=service, max_pending=max_pending
+        )
+        reference = ReferenceFifoQueue(slots, service, max_pending)
+        for t, bounded, probe in requests:
+            grant = queue.request(t, bounded=bounded)
+            assert (
+                grant.requested_at, grant.start_at, grant.finish_at,
+                grant.outcome,
+            ) == reference.request(t, bounded)
+            assert queue.max_depth == reference.max_depth
+            assert queue.rejected == reference.rejected
+            assert queue.pending_at(t) == reference.pending_at(t)
+            assert queue.depth_at(t) == reference.depth_at(t)
+            if probe is not None:
+                # A query at another time moves the counts off `t`;
+                # the next request must recount, not reuse them.
+                later = t + probe
+                assert queue.pending_at(later) == reference.pending_at(later)
+                assert queue.depth_at(later) == reference.depth_at(later)

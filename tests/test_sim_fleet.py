@@ -376,6 +376,19 @@ class TestProfilingQueue:
         assert queue.depth_at(grant.finish_at - 1e-9) == 1
         assert queue.depth_at(grant.finish_at) == 0
 
+    def test_outage_recounts_fifo_depth(self):
+        # FIFO keeps slot counts for the latest request time; an outage
+        # that moves the slots at that same time must force a recount.
+        queue = ProfilingQueue(slots=2, service_seconds=10.0)
+        queue.attach_faults([(5.0, 100.0, 1)])
+        queue.request(5.0)
+        assert queue.depth_at(5.0) == 1
+        queue.advance_to(5.0)  # the idle slot is dark until 100
+        assert queue.depth_at(5.0) == 1 + 10
+        assert queue.pending_at(5.0) == 9
+        assert queue.request(5.0).start_at == 15.0
+        assert queue.max_depth == 1 + 10 + 1
+
     def test_time_cannot_rewind(self):
         queue = ProfilingQueue()
         queue.request(10.0)
